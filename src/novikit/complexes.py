@@ -158,10 +158,6 @@ def chain_sub(a: Chain, b: Chain) -> dict[str, NovikovElement]:
     return chain_cleanup(out)
 
 
-def chain_scale(chain: Chain, coeff: NovikovElement) -> dict[str, NovikovElement]:
-    return chain_cleanup({k: v * coeff for k, v in chain.items()})
-
-
 def ell(cx: FilteredComplex, chain: Chain, t) -> object:
     """Filtration level of a chain at parameter t; -inf for the zero chain.
 

@@ -3,8 +3,9 @@
 The format is line based and fully canonical on emission, so that
 emit -> parse -> emit is byte-identical.  Rationals are always "p/q"
 strings; exponent vectors are comma-separated integers ("." for a rank-0
-lattice); unknown sections or keys are rejected with the offending line
-number.
+lattice); unknown sections or keys, and values outside their domain
+(field, cutoff, rank, period vector lengths, boundary samples), are
+rejected with the offending line number.
 
     # novikit complex v1
     [options]
@@ -39,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import CappedGenerator, ContinuationData, FilteredComplex
-from .fields import field_by_name
+from .fields import FieldError, field_by_name
 from .periods import PeriodSystem
 from .series import NovikovElement, RingMode
 
@@ -202,13 +203,16 @@ class _Parser:
             if not rest.startswith("s="):
                 self.fail(idx, "boundary section needs s=p/q")
             s = _parse_fraction(rest[2:], idx)
+            if not 0 <= s <= 1:
+                self.fail(idx, f"boundary sample s={_pq(s)} lies outside [0, 1]")
             if s in self.boundaries:
                 self.fail(idx, f"duplicate boundary sample s={_pq(s)}")
             self.boundaries[s] = {}
             self._section = ("boundary", s)
         elif head.startswith("continuation"):
-            parts = dict(p.split("=", 1) for p in head[len("continuation"):].split())
-            if set(parts) != {"from", "to"}:
+            items = [p.split("=", 1) for p in head[len("continuation"):].split()]
+            parts = dict(p for p in items if len(p) == 2)
+            if len(items) != 2 or set(parts) != {"from", "to"}:
                 self.fail(idx, "continuation section needs from= and to=")
             cont = {
                 "from": _parse_fraction(parts["from"], idx),
@@ -225,8 +229,11 @@ class _Parser:
     def _ring_info(self, idx):
         if self.rank is None:
             self.fail(idx, "period-system must precede entries")
-        system = PeriodSystem(self.rank, self.omega.get("omega0", ()),
-                              self.omega.get("omega1", ()))
+        try:
+            system = PeriodSystem(self.rank, self.omega.get("omega0", ()),
+                                  self.omega.get("omega1", ()))
+        except ValueError as err:
+            self.fail(idx, f"bad period-system: {err}")
         field = field_by_name(self.options.get("field", "f2"))
         mode = RingMode(self.options.get("mode", "interval"))
         cutoff = self.options.get("cutoff", Fraction(10))
@@ -266,7 +273,10 @@ class _Parser:
             if key not in ("field", "cutoff", "mode"):
                 self.fail(idx, f"unknown option {key!r}")
             if key == "cutoff":
-                self.options[key] = _parse_fraction(val, idx)
+                cutoff = _parse_fraction(val, idx)
+                if cutoff <= 0:
+                    self.fail(idx, f"cutoff {val!r} must be positive")
+                self.options[key] = cutoff
             elif key == "mode":
                 try:
                     RingMode(val)
@@ -274,6 +284,10 @@ class _Parser:
                     self.fail(idx, f"unknown mode {val!r}")
                 self.options[key] = val
             else:
+                try:
+                    field_by_name(val)
+                except (FieldError, ValueError):
+                    self.fail(idx, f"bad field {val!r} (need f<prime> or q)")
                 self.options[key] = val
         elif sec == "period-system":
             key, _, val = line.partition("=")
@@ -283,12 +297,17 @@ class _Parser:
                     self.rank = int(val)
                 except ValueError:
                     self.fail(idx, f"bad rank {val!r}")
+                if self.rank < 0:
+                    self.fail(idx, f"rank {val!r} must be nonnegative")
+                for name, omega in sorted(self.omega.items()):
+                    self._check_omega(name, omega, idx)
             elif key in ("omega0", "omega1"):
                 if val == ".":
                     self.omega[key] = ()
                 else:
                     self.omega[key] = tuple(_parse_fraction(w, idx)
                                             for w in val.split())
+                self._check_omega(key, self.omega[key], idx)
             else:
                 self.fail(idx, f"unknown period-system key {key!r}")
         elif sec == "generators":
@@ -314,6 +333,10 @@ class _Parser:
                 self._entry_line(line, idx, None, prefix_maps=True)
         else:  # pragma: no cover - sections are exhaustive
             self.fail(idx, "internal section state error")
+
+    def _check_omega(self, name, omega, idx):
+        if self.rank is not None and len(omega) != self.rank:
+            self.fail(idx, f"{name} has {len(omega)} entries, rank is {self.rank}")
 
     def _build(self) -> FilteredComplex:
         if self.rank is None:

@@ -147,11 +147,3 @@ def exponent_sub(a: Exponent, b: Exponent) -> Exponent:
     if len(a) != len(b):
         raise DimensionMismatch("exponent lengths differ")
     return tuple(x - y for x, y in zip(a, b))
-
-
-def exponent_neg(a: Exponent) -> Exponent:
-    return tuple(-x for x in a)
-
-
-def zero_exponent(rank: int) -> Exponent:
-    return (0,) * rank

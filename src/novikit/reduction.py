@@ -43,6 +43,7 @@ from .series import (
 )
 
 DEFAULT_STALL_WINDOW = 8
+DEFAULT_MAX_STEPS = 5000
 
 
 class FloerDivergenceError(RuntimeError):
@@ -191,14 +192,14 @@ def _solve_linear(field, rows: list[list], rhs: list):
     return x
 
 
-def _phi_step(v: Chain, columns: Sequence[Chain], leads: Sequence[list],
-              geom: TermGeometry, order, field):
+def _phi_step(v: Chain, level: list, columns: Sequence[Chain],
+              leads: Sequence[list], field):
     """One canonical cancellation: returns (new_v, used) or None at a fixed point.
 
-    ``used`` lists (column index, shift exponent, coefficient) with the
-    subtracted combination sum(c * T^D * column).
+    ``level`` is the attaining-term list of ``chain_level(v)``.  ``used``
+    lists (column index, shift exponent, coefficient) with the subtracted
+    combination sum(c * T^D * column).
     """
-    value, level = chain_level(v, geom, order)
     level_set = set(level)
     # Candidate shifted columns whose leading part can touch the level.
     cands: list[tuple[int, Exponent]] = []
@@ -248,7 +249,7 @@ def _phi_step(v: Chain, columns: Sequence[Chain], leads: Sequence[list],
     return chain_cleanup(new_v), used
 
 
-def _saturate(cols, exprs, geom, order, field, cutoff, stall_window):
+def _saturate(cols, exprs, geom, order, ambient, cutoff, stall_window):
     """Echelonize the spanning set so leading parts span every level.
 
     Reduces each column against the others with the same cancellation
@@ -259,6 +260,7 @@ def _saturate(cols, exprs, geom, order, field, cutoff, stall_window):
     iteration a genuine best approximation.  One-sided columns whose
     self-reduction trace stalls are kept as they are.
     """
+    field = ambient.field
     work = [(dict(c), dict(e)) for c, e in zip(cols, exprs)]
     for _ in range(256):
         changed = False
@@ -268,22 +270,24 @@ def _saturate(cols, exprs, geom, order, field, cutoff, stall_window):
             if not others:
                 continue
             leads = [chain_level(c, geom, order)[1] for c in others]
-            trace = [chain_level(col, geom, order)[0]]
+            value, level = chain_level(col, geom, order)
+            trace = [value]
             reduced = False
             while col:
-                step = _phi_step(col, others, leads, geom, order, field)
+                step = _phi_step(col, level, others, leads, field)
                 if step is None:
                     break
                 col, used = step
                 reduced = True
                 for j, d, c_coeff in used:
                     src = j if j < i else j + 1
-                    mono = _monomial_like(work[src][0], geom, d, c_coeff, field)
+                    mono = monomial(ambient.system, field, ambient.mode,
+                                    ambient.cutoff, d, c_coeff)
                     for name, mult in work[src][1].items():
                         contrib = mono * mult
                         expr[name] = expr[name] - contrib if name in expr \
                             else -contrib
-                value, _ = chain_level(col, geom, order)
+                value, level = chain_level(col, geom, order)
                 trace.append(value)
                 if _detect_stall(trace, cutoff, stall_window) is not None:
                     break
@@ -300,99 +304,118 @@ def _saturate(cols, exprs, geom, order, field, cutoff, stall_window):
     raise RuntimeError("column saturation failed to stabilize")
 
 
-def _monomial_like(col, geom, exponent, coeff, field):
-    ambient = next(iter(col.values()))
-    return monomial(ambient.system, field, ambient.mode, ambient.cutoff,
-                    exponent, coeff)
+class _SaturatedImage:
+    """The image of a column set, saturated once for one order and cutoff.
+
+    Everything here depends on the columns, never on the vector being
+    cancelled, so one instance serves any number of :meth:`cancel` runs.
+    The ambient ring (system, field, mode, truncation) is read from the
+    first column; without columns it is read from each vector instead.
+    """
+
+    def __init__(self, columns, order, cutoff, offsets, stall_window,
+                 require_normalized):
+        names, cols = _as_columns(columns)
+        cols = [chain_cleanup(c) for c in cols]
+        keep = [i for i, c in enumerate(cols) if c]
+        names = [names[i] for i in keep]
+        cols = [cols[i] for i in keep]
+        if cutoff is None:
+            raise ValueError("cutoff must be provided")
+        cutoff = Fraction(cutoff)
+        if cutoff <= 0:
+            raise ValueError("cutoff must be positive")
+        self.order = order
+        self.cutoff = cutoff
+        self.offsets = offsets
+        self.stall_window = stall_window
+        self.ambient = self.geom = None
+        self.cols, self.exprs, self.leads = [], [], []
+        if not cols:
+            return
+        ambient = self.ambient = next(iter(cols[0].values()))
+        geom = self.geom = TermGeometry(ambient.system, offsets)
+        one = ambient.like({(0,) * ambient.system.rank: ambient.field.one})
+        for c in cols:
+            value, _ = chain_level(c, geom, order)
+            if require_normalized and offsets is None and value.as_tuple() != (Fraction(0), Fraction(0)):
+                raise NormalizationError(
+                    f"column valuation {value} is not the zero pair; normalize first"
+                )
+        basket = _saturate(cols, [{n: one} for n in names], geom, order,
+                           ambient, cutoff, stall_window)
+        self.cols = [b[0] for b in basket]
+        self.exprs = [b[1] for b in basket]
+        self.leads = [chain_level(c, geom, order)[1] for c in self.cols]
+
+    def cancel(self, v: Chain, max_steps: int) -> ReductionOutcome:
+        """Iterate the cancellation map on ``v`` against the saturated image."""
+        order, cutoff = self.order, self.cutoff
+        v = chain_cleanup(v)
+        ambient, geom = self.ambient, self.geom
+        if ambient is None:
+            ambient = next(iter(v.values()), None)
+            if ambient is None:
+                return ReductionOutcome("fixed-point", {}, {}, (VALUE_INF,), {})
+            geom = TermGeometry(ambient.system, self.offsets)
+        field = ambient.field
+
+        trace: list[Rank2Value] = []
+        combo: dict[str, NovikovElement] = {}
+        original = dict(v)
+        steps = 0
+        value, level = chain_level(v, geom, order)
+        while True:
+            trace.append(value)
+            if value.is_infinite:
+                break
+            if value.v0 > cutoff and value.v1 > cutoff:
+                return _outcome("diverges-both", original, v, trace, combo)
+            stall = _detect_stall(trace, cutoff, self.stall_window)
+            if stall is not None:
+                axis, stabilized = stall
+                return ReductionOutcome("diverges-second", chain_sub(original, v), v,
+                                        tuple(trace), combo, stabilized=stabilized,
+                                        axis=axis)
+            if not self.cols:
+                break
+            step = _phi_step(v, level, self.cols, self.leads, field)
+            if step is None:
+                break
+            new_v, used = step
+            new_value, level = chain_level(new_v, geom, order)
+            if not new_value.is_infinite and order.compare(new_value, value) <= 0:
+                raise RuntimeError("cancellation failed to raise the valuation")
+            for i, d, c in used:
+                mono = monomial(ambient.system, field, ambient.mode, ambient.cutoff, d, c)
+                for name, mult in self.exprs[i].items():
+                    contrib = mono * mult
+                    combo[name] = combo[name] + contrib if name in combo else contrib
+            v, value = new_v, new_value
+            steps += 1
+            if steps > max_steps:
+                raise RuntimeError(f"no termination within {max_steps} steps")
+        combo = {k: val for k, val in combo.items() if not val.is_zero()}
+        return _outcome("fixed-point", original, v, trace, combo)
 
 
 def fixed_point(columns, v: Chain, order=None, cutoff=None, *,
                 offsets: Mapping[str, tuple] | None = None,
                 stall_window: int = DEFAULT_STALL_WINDOW,
                 require_normalized: bool = True,
-                max_steps: int = 5000) -> ReductionOutcome:
+                max_steps: int = DEFAULT_MAX_STEPS) -> ReductionOutcome:
     """Iterate the canonical cancellation map until it fixes the vector.
 
     ``columns`` spans the image being cancelled against; ``cutoff`` bounds
     the valuation window used for divergence classification.  With
     ``offsets`` the valuation of each term is shifted per component, which
-    turns the iteration into a filtration-level minimizer.
+    turns the iteration into a filtration-level minimizer.  Each call
+    saturates the image afresh; :func:`floer_divergence_check` saturates
+    once and cancels every probe against that one image.
     """
-    order = order or LexOrder()
-    names, cols = _as_columns(columns)
-    cols = [chain_cleanup(c) for c in cols]
-    keep = [i for i, c in enumerate(cols) if c]
-    names = [names[i] for i in keep]
-    cols = [cols[i] for i in keep]
-    v = chain_cleanup(v)
-    if cutoff is None:
-        raise ValueError("cutoff must be provided")
-    cutoff = Fraction(cutoff)
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-
-    ambient = None
-    for source in ([v] + cols):
-        for coeff in source.values():
-            ambient = coeff
-            break
-        if ambient is not None:
-            break
-    if ambient is None:
-        return ReductionOutcome("fixed-point", {}, {}, (VALUE_INF,), {})
-
-    geom = TermGeometry(ambient.system, offsets)
-    field = ambient.field
-    one = ambient.like({(0,) * ambient.system.rank: field.one})
-    for c in cols:
-        value, _ = chain_level(c, geom, order)
-        if require_normalized and offsets is None and value.as_tuple() != (Fraction(0), Fraction(0)):
-            raise NormalizationError(
-                f"column valuation {value} is not the zero pair; normalize first"
-            )
-    basket = _saturate(cols, [{n: one} for n in names], geom, order, field,
-                       cutoff, stall_window)
-    sat_cols = [b[0] for b in basket]
-    sat_exprs = [b[1] for b in basket]
-    leads = [chain_level(c, geom, order)[1] for c in sat_cols]
-
-    trace: list[Rank2Value] = []
-    combo: dict[str, NovikovElement] = {}
-    original = dict(v)
-    steps = 0
-    while True:
-        value, _ = chain_level(v, geom, order)
-        trace.append(value)
-        if value.is_infinite:
-            break
-        if not value.is_infinite and value.v0 > cutoff and value.v1 > cutoff:
-            return _outcome("diverges-both", original, v, trace, combo)
-        stall = _detect_stall(trace, cutoff, stall_window)
-        if stall is not None:
-            axis, stabilized = stall
-            return ReductionOutcome("diverges-second", chain_sub(original, v), v,
-                                    tuple(trace), combo, stabilized=stabilized,
-                                    axis=axis)
-        if not sat_cols:
-            break
-        step = _phi_step(v, sat_cols, leads, geom, order, field)
-        if step is None:
-            break
-        new_v, used = step
-        new_value, _ = chain_level(new_v, geom, order)
-        if not new_value.is_infinite and order.compare(new_value, value) <= 0:
-            raise RuntimeError("cancellation failed to raise the valuation")
-        for i, d, c in used:
-            mono = monomial(ambient.system, field, ambient.mode, ambient.cutoff, d, c)
-            for name, mult in sat_exprs[i].items():
-                contrib = mono * mult
-                combo[name] = combo[name] + contrib if name in combo else contrib
-        v = new_v
-        steps += 1
-        if steps > max_steps:
-            raise RuntimeError(f"no termination within {max_steps} steps")
-    combo = {k: val for k, val in combo.items() if not val.is_zero()}
-    return _outcome("fixed-point", original, v, trace, combo)
+    image = _SaturatedImage(columns, order or LexOrder(), cutoff, offsets,
+                            stall_window, require_normalized)
+    return image.cancel(v, max_steps)
 
 
 def _outcome(kind, original, v, trace, combo) -> ReductionOutcome:
@@ -474,26 +497,15 @@ class DivergenceCheck:
         return self.passed
 
 
-def floer_divergence_check(columns, cutoff, *, order=None, seed: int = 0,
-                           stall_window: int = DEFAULT_STALL_WINDOW,
-                           n_random: int = 4) -> DivergenceCheck:
-    """Probe the image of an operator for one-sided valuation divergence.
-
-    Runs the cancellation iteration from every column, from every
-    single-term slice of a column, and from a few seeded random vectors
-    supported on the columns' components.  A trace whose valuation stalls
-    in one coordinate while the other exits the cutoff window is returned
-    as a witness; operators arising as boundary operators of legal
-    filtered complexes must pass.
-    """
+def _divergence_probes(columns, order, seed: int, n_random: int):
+    """The normalized columns and the probe vectors of a divergence check."""
     import random as _random
 
-    order = order or LexOrder()
     _, raw = _as_columns(columns)
     cols = [chain_cleanup(c) for c in raw]
     cols = [c for c in cols if c]
     if not cols:
-        return DivergenceCheck(True)
+        return [], []
     norm_cols, _ = normalize_columns(cols, order)
 
     probes: list[dict[str, NovikovElement]] = []
@@ -515,12 +527,31 @@ def floer_divergence_check(columns, cutoff, *, order=None, seed: int = 0,
                             ambient.cutoff, a, ambient.field.sample_nonzero(rng))
             probe[comp] = probe[comp] + mono if comp in probe else mono
         probes.append(chain_cleanup(probe))
+    return norm_cols, probes
 
+
+def floer_divergence_check(columns, cutoff, *, order=None, seed: int = 0,
+                           stall_window: int = DEFAULT_STALL_WINDOW,
+                           n_random: int = 4) -> DivergenceCheck:
+    """Probe the image of an operator for one-sided valuation divergence.
+
+    Runs the cancellation iteration from every column, from every
+    single-term slice of a column, and from a few seeded random vectors
+    supported on the columns' components.  A trace whose valuation stalls
+    in one coordinate while the other exits the cutoff window is returned
+    as a witness; operators arising as boundary operators of legal
+    filtered complexes must pass.  The normalized columns are saturated
+    once per check, and every probe is cancelled against that one image.
+    """
+    order = order or LexOrder()
+    norm_cols, probes = _divergence_probes(columns, order, seed, n_random)
+    if not norm_cols:
+        return DivergenceCheck(True)
+    image = _SaturatedImage(norm_cols, order, cutoff, None, stall_window, True)
     for probe in probes:
         if not probe:
             continue
-        outcome = fixed_point(norm_cols, probe, order, cutoff,
-                              stall_window=stall_window)
+        outcome = image.cancel(probe, DEFAULT_MAX_STEPS)
         if outcome.kind == "diverges-second":
             return DivergenceCheck(False, DivergenceWitness(
                 probe=probe, trace=outcome.trace, axis=outcome.axis,

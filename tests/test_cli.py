@@ -73,6 +73,40 @@ class TestValidate:
         assert code == 0 and "2 samples" in out
 
 
+def _mutate(text, prefix, replacement):
+    """The text with its first line starting ``prefix`` replaced (appended
+    when ``prefix`` is None), and that line's number."""
+    lines = text.splitlines()
+    if prefix is None:
+        lines.append(replacement)
+        return "\n".join(lines) + "\n", len(lines)
+    idx = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    lines[idx] = replacement
+    return "\n".join(lines) + "\n", idx + 1
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("prefix, replacement", [
+        ("field =", "field = f4"),
+        ("field =", "field = fx"),
+        ("omega0 =", "omega0 = 1/1"),
+        ("rank =", "rank = -1"),
+        ("[boundary", "[boundary s=2/1]"),
+        (None, "[continuation foo]"),
+        ("cutoff =", "cutoff = -1/1"),
+    ], ids=["f4", "fx", "omega0", "rank", "boundary-s", "continuation", "cutoff"])
+    def test_malformed_value_names_its_line(self, model_file, tmp_path,
+                                            prefix, replacement):
+        text, line_no = _mutate(open(model_file).read(), prefix, replacement)
+        path = tmp_path / "bad.nvk"
+        path.write_text(text)
+        code, out, err = run_cli(["validate", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"line {line_no}:" in err
+        assert "Traceback" not in err
+
+
 class TestCommands:
     def test_barcode_csv(self, elementary_file):
         code, out, _ = run_cli(["barcode", elementary_file, "--t", "0/1"])

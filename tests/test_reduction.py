@@ -24,9 +24,23 @@ from novikit import (
     matrix_rank_at_cutoff,
     persistence_barcode,
 )
+from novikit import reduction
 from novikit.fields import GF2
-from novikit.models import gen_pathological, pathological_columns
-from novikit.reduction import NormalizationError, chain_level, TermGeometry
+from novikit.models import (
+    ModelSpec,
+    gen_elementary,
+    gen_pathological,
+    gen_random,
+    line_family,
+    pathological_columns,
+)
+from novikit.reduction import (
+    DivergenceWitness,
+    NormalizationError,
+    TermGeometry,
+    _divergence_probes,
+    chain_level,
+)
 from novikit.complexes import chain_is_zero, chain_sub
 
 F = Fraction
@@ -169,6 +183,62 @@ class TestDivergenceCheck:
         check = floer_divergence_check([col], 10)
         assert not check
         assert check.witness.axis == 0
+
+
+def _random_operator(seed, pairs, field_name="f2"):
+    cx = gen_random(ModelSpec(seed=seed, n_pairs=pairs, n_closed=2,
+                              density=F(1, 2), field_name=field_name))
+    return cx.boundary_matrix(0), cx.cutoff
+
+
+def _line_operator():
+    base = gen_elementary(ModelSpec(seed=2, n_pairs=6, n_closed=2, lattice_rank=0))
+    cx = line_family(base, [F(i % 3 - 1, 8) for i in range(len(base.generators))])
+    return cx.boundary_matrix(F(1, 2)), cx.cutoff
+
+
+def _per_probe_check(columns, cutoff):
+    """Verdict and witness from one public fixed_point call per probe."""
+    order = LexOrder()
+    norm_cols, probes = _divergence_probes(columns, order, 0, 4)
+    for probe in probes:
+        out = fixed_point(norm_cols, probe, order, cutoff)
+        if out.kind == "diverges-second":
+            return False, DivergenceWitness(probe, out.trace, out.axis, out.stabilized)
+    return True, None
+
+
+class TestSaturatedOncePerCheck:
+    @pytest.mark.parametrize("operator, passed", [
+        (lambda: (pathological_columns(F(10)), F(10)), False),
+        (lambda: _random_operator(1, 3), True),
+        (lambda: _random_operator(4, 4, "q"), True),
+        (_line_operator, True),
+        # ``gen --model random --seed 3 --pairs 12 --closed 2 --density 1/2``:
+        # a legal complex the check wrongly fails (a known defect, kept visible).
+        (lambda: _random_operator(3, 12), False),
+    ], ids=["pathological", "random-1", "random-4-q", "line", "random-3-defect"])
+    def test_matches_per_probe_fixed_point(self, monkeypatch, operator, passed):
+        columns, cutoff = operator()
+        calls = []
+        saturate = reduction._saturate
+
+        def counting(*args):
+            calls.append(args)
+            return saturate(*args)
+
+        monkeypatch.setattr(reduction, "_saturate", counting)
+        check = floer_divergence_check(columns, cutoff)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert (check.passed, check.witness) == _per_probe_check(columns, cutoff)
+        assert check.passed is passed
+
+    def test_empty_operator_never_saturates(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(reduction, "_saturate", lambda *args: calls.append(args))
+        assert floer_divergence_check([], 10)
+        assert calls == []
 
 
 class TestModeRanks:
