@@ -15,12 +15,8 @@ import sys
 from fractions import Fraction
 
 from novikit import basis_chain, scan_semicontinuity
+from novikit.envelope import render_fraction
 from novikit.models import ModelSpec, gen_elementary, line_family, shift_constants
-
-
-def pq(x):
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def main(argv=None):
@@ -50,9 +46,10 @@ def main(argv=None):
         drift = max(abs(report.curve(t) - report.value_at_zero)
                     for t in report.curve.knots)
         rows.append(",".join([
-            str(spec.seed), pq(s1), pq(s2), pq(report.value_at_zero),
-            pq(report.right_limit), str(report.usc_at_zero).lower(),
-            str(report.lsc_at_zero).lower(), pq(drift),
+            str(spec.seed), render_fraction(s1), render_fraction(s2),
+            render_fraction(report.value_at_zero),
+            render_fraction(report.right_limit), str(report.usc_at_zero).lower(),
+            str(report.lsc_at_zero).lower(), render_fraction(drift),
         ]))
         if first_report is None:
             first_report = report

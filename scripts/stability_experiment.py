@@ -13,12 +13,8 @@ import sys
 from fractions import Fraction
 
 from novikit import bottleneck, persistence_barcode
+from novikit.envelope import render_fraction
 from novikit.models import ModelSpec, gen_elementary, line_family, shift_constants
-
-
-def pq(x):
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def main(argv=None):
@@ -43,7 +39,7 @@ def main(argv=None):
         for t in fam.samples:
             bt = persistence_barcode(fam, t, prevalidated=True)
             d = bottleneck(b0, bt)
-            print(f"{pq(scale)},{pq(t)},{pq(d)},{pq(t * s_total)}")
+            print(",".join(render_fraction(x) for x in (scale, t, d, t * s_total)))
     return 0
 
 

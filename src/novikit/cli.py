@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .complexes import FilteredComplex, basis_chain, chain_cleanup, validate
+from .envelope import render_fraction
 from .fileformat import ParseError, emit, parse
 from .invariants import (
     MissingContinuation,
@@ -36,11 +37,6 @@ from .reduction import FloerDivergenceError, floer_divergence_check, persistence
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
-
-
-def _pq(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _threads() -> int:
@@ -118,10 +114,10 @@ def cmd_validate(args) -> int:
         check = floer_divergence_check(cx.boundary_matrix(s), cx.cutoff)
         if not check:
             w = check.witness
-            trace = " ".join(f"({_pq(v.v0)},{_pq(v.v1)})" for v in w.trace
-                             if not v.is_infinite)
-            print(f"FAIL divergence at s={_pq(s)}: axis {w.axis} "
-                  f"stalls at {_pq(w.stabilized)}; trace {trace}")
+            trace = " ".join(f"({render_fraction(v.v0)},{render_fraction(v.v1)})"
+                             for v in w.trace if not v.is_infinite)
+            print(f"FAIL divergence at s={render_fraction(s)}: axis {w.axis} "
+                  f"stalls at {render_fraction(w.stabilized)}; trace {trace}")
             return EXIT_DOMAIN
     print(f"OK {len(picked)} samples validated")
     return EXIT_OK
@@ -147,7 +143,7 @@ def cmd_rho(args) -> int:
         return EXIT_DOMAIN
     except ValueError as err:
         return _input_error(str(err))
-    print("-inf" if res.degenerate else _pq(res.value))
+    print("-inf" if res.degenerate else render_fraction(res.value))
     return EXIT_OK
 
 
@@ -161,7 +157,7 @@ def cmd_beta(args) -> int:
     except ValueError as err:
         return _input_error(str(err))
     for v in values:
-        print(_pq(v))
+        print(render_fraction(v))
     return EXIT_OK
 
 

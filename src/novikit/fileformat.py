@@ -4,8 +4,9 @@ The format is line based and fully canonical on emission, so that
 emit -> parse -> emit is byte-identical.  Rationals are always "p/q"
 strings; exponent vectors are comma-separated integers ("." for a rank-0
 lattice); unknown sections or keys, and values outside their domain
-(field, cutoff, rank, period vector lengths, boundary samples), are
-rejected with the offending line number.
+(field, cutoff, rank, period vector lengths, boundary samples and
+continuation endpoints, which lie in [0, 1]), are rejected with the
+offending line number.
 
     # novikit complex v1
     [options]
@@ -40,6 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import CappedGenerator, ContinuationData, FilteredComplex
+from .envelope import render_fraction
 from .fields import FieldError, field_by_name
 from .periods import PeriodSystem
 from .series import NovikovElement, RingMode
@@ -52,11 +54,6 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
-
-
-def _pq(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _parse_fraction(raw: str, line_no: int) -> Fraction:
@@ -119,20 +116,21 @@ def emit(cx: FilteredComplex) -> str:
     out = [HEADER, ""]
     out.append("[options]")
     out.append(f"field = {cx.coefficient_field.name}")
-    out.append(f"cutoff = {_pq(cx.cutoff)}")
+    out.append(f"cutoff = {render_fraction(cx.cutoff)}")
     out.append(f"mode = {cx.mode.value}")
     out.append("")
     out.append("[period-system]")
     out.append(f"rank = {cx.system.rank}")
-    out.append("omega0 = " + (" ".join(_pq(w) for w in cx.system.omega0) or "."))
-    out.append("omega1 = " + (" ".join(_pq(w) for w in cx.system.omega1) or "."))
+    out.append("omega0 = " + (" ".join(render_fraction(w) for w in cx.system.omega0) or "."))
+    out.append("omega1 = " + (" ".join(render_fraction(w) for w in cx.system.omega1) or "."))
     out.append("")
     out.append("[generators]")
     for g in cx.generators:
-        out.append(f"{g.name} {g.degree} {_pq(g.action0)} {_pq(g.action_slope)}")
+        out.append(f"{g.name} {g.degree} {render_fraction(g.action0)} "
+                   f"{render_fraction(g.action_slope)}")
     for s in cx.samples:
         out.append("")
-        out.append(f"[boundary s={_pq(s)}]")
+        out.append(f"[boundary s={render_fraction(s)}]")
         matrix = cx.boundaries[s]
         rows = []
         for col in sorted(matrix):
@@ -144,9 +142,10 @@ def emit(cx: FilteredComplex) -> str:
             out.append(f"{row} {col} : {_render_terms(entry)}")
     for data in sorted(cx.continuations, key=lambda d: (d.s_from, d.s_to)):
         out.append("")
-        out.append(f"[continuation from={_pq(data.s_from)} to={_pq(data.s_to)}]")
-        out.append(f"shift1 = {_pq(data.shift1)}")
-        out.append(f"shift2 = {_pq(data.shift2)}")
+        out.append(f"[continuation from={render_fraction(data.s_from)} "
+                   f"to={render_fraction(data.s_to)}]")
+        out.append(f"shift1 = {render_fraction(data.shift1)}")
+        out.append(f"shift2 = {render_fraction(data.shift2)}")
         for key, matrix in zip(_MAP_KEYS, (data.phi, data.psi, data.k_s, data.k_t)):
             rows = []
             for col in sorted(matrix):
@@ -167,10 +166,12 @@ class _Parser:
         self.rank = None
         self.omega = {}
         self.generators: list[CappedGenerator] = []
+        self.names: set[str] = set()
         self.boundaries: dict = {}
         self.continuations: list = []
         self._section = None
         self._cont = None
+        self._ring = None  # _ring_info's result; reset when its inputs change
 
     def fail(self, line_no, msg):
         raise ParseError(line_no, msg)
@@ -204,9 +205,9 @@ class _Parser:
                 self.fail(idx, "boundary section needs s=p/q")
             s = _parse_fraction(rest[2:], idx)
             if not 0 <= s <= 1:
-                self.fail(idx, f"boundary sample s={_pq(s)} lies outside [0, 1]")
+                self.fail(idx, f"boundary sample s={render_fraction(s)} lies outside [0, 1]")
             if s in self.boundaries:
-                self.fail(idx, f"duplicate boundary sample s={_pq(s)}")
+                self.fail(idx, f"duplicate boundary sample s={render_fraction(s)}")
             self.boundaries[s] = {}
             self._section = ("boundary", s)
         elif head.startswith("continuation"):
@@ -214,12 +215,14 @@ class _Parser:
             parts = dict(p for p in items if len(p) == 2)
             if len(items) != 2 or set(parts) != {"from", "to"}:
                 self.fail(idx, "continuation section needs from= and to=")
-            cont = {
-                "from": _parse_fraction(parts["from"], idx),
-                "to": _parse_fraction(parts["to"], idx),
-                "shift1": None, "shift2": None,
-                "phi": {}, "psi": {}, "ks": {}, "kt": {},
-            }
+            cont = {"shift1": None, "shift2": None,
+                    "phi": {}, "psi": {}, "ks": {}, "kt": {}}
+            for key in ("from", "to"):
+                value = _parse_fraction(parts[key], idx)
+                if not 0 <= value <= 1:
+                    self.fail(idx, f"continuation {key}={render_fraction(value)} "
+                                   "lies outside [0, 1]")
+                cont[key] = value
             self.continuations.append(cont)
             self._section = "continuation"
             self._cont = cont
@@ -227,6 +230,10 @@ class _Parser:
             self.fail(idx, f"unknown section {head!r}")
 
     def _ring_info(self, idx):
+        """(system, field, mode, cutoff), built on first use after the
+        last ``[options]`` or ``[period-system]`` line changed them."""
+        if self._ring is not None:
+            return self._ring
         if self.rank is None:
             self.fail(idx, "period-system must precede entries")
         try:
@@ -237,7 +244,8 @@ class _Parser:
         field = field_by_name(self.options.get("field", "f2"))
         mode = RingMode(self.options.get("mode", "interval"))
         cutoff = self.options.get("cutoff", Fraction(10))
-        return system, field, mode, cutoff
+        self._ring = (system, field, mode, cutoff)
+        return self._ring
 
     def _entry_line(self, line, idx, into, prefix_maps=False):
         if ":" not in line:
@@ -254,9 +262,8 @@ class _Parser:
                 self.fail(idx, "boundary entry needs 'row col : terms'")
             target = into
             row, col = bits
-        names = {g.name for g in self.generators}
         for n in (row, col):
-            if n not in names:
+            if n not in self.names:
                 self.fail(idx, f"unknown generator {n!r}")
         entry = _parse_terms(terms.strip(), self._ring_info(idx), idx)
         if col in target and row in target[col]:
@@ -267,6 +274,8 @@ class _Parser:
         sec = self._section
         if sec is None:
             self.fail(idx, "content before any section")
+        if sec in ("options", "period-system"):
+            self._ring = None
         if sec == "options":
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
@@ -315,7 +324,7 @@ class _Parser:
             if len(bits) != 4:
                 self.fail(idx, "generator line needs 'name degree action0 slope'")
             name, degree, a0, slope = bits
-            if any(g.name == name for g in self.generators):
+            if name in self.names:
                 self.fail(idx, f"duplicate generator {name!r}")
             try:
                 degree = int(degree)
@@ -323,6 +332,7 @@ class _Parser:
                 self.fail(idx, f"bad degree {degree!r}")
             self.generators.append(CappedGenerator(
                 name, degree, _parse_fraction(a0, idx), _parse_fraction(slope, idx)))
+            self.names.add(name)
         elif isinstance(sec, tuple) and sec[0] == "boundary":
             self._entry_line(line, idx, self.boundaries[sec[1]])
         elif sec == "continuation":

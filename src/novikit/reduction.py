@@ -31,6 +31,7 @@ from .complexes import (
     chain_sub,
     validate,
 )
+from .envelope import render_fraction
 from .periods import Exponent, exponent_sub
 from .series import (
     INF,
@@ -700,14 +701,9 @@ class Barcode:
     def to_csv(self) -> str:
         rows = ["degree,birth,death"]
         for b in self.bars:
-            death = "inf" if not b.is_finite else _pq(b.death)
-            rows.append(f"{b.degree},{_pq(b.birth)},{death}")
+            death = "inf" if not b.is_finite else render_fraction(b.death)
+            rows.append(f"{b.degree},{render_fraction(b.birth)},{death}")
         return "\n".join(rows) + "\n"
-
-
-def _pq(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 class _Collapsed:

@@ -47,6 +47,16 @@ def elementary_file(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def line_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "line.nvk"
+    code, out, err = run_cli(["gen", "--seed", "1", "--model", "line",
+                              "--pairs", "2", "--rank", "0"])
+    assert code == 0, err
+    path.write_text(out)
+    return str(path)
+
+
 class TestValidate:
     def test_generated_model_passes(self, model_file):
         code, out, _ = run_cli(["validate", model_file])
@@ -104,6 +114,20 @@ class TestInputContract:
         assert code == 2
         assert out == ""
         assert f"line {line_no}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("replacement", [
+        "[continuation from=0/1 to=7/1]",
+        "[continuation from=-1/2 to=1/4]",
+    ], ids=["to-above-1", "from-below-0"])
+    def test_continuation_outside_unit_interval(self, line_file, tmp_path, replacement):
+        text, line_no = _mutate(open(line_file).read(), "[continuation", replacement)
+        path = tmp_path / "bad.nvk"
+        path.write_text(text)
+        code, out, err = run_cli(["validate", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"line {line_no}:" in err and "outside [0, 1]" in err
         assert "Traceback" not in err
 
 

@@ -1,3 +1,6 @@
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -170,6 +173,97 @@ class TestBottleneck:
         a = Barcode([Bar(0, 2, 0), Bar(0, 8, 1)])
         b = Barcode([Bar(0, 2, 0), Bar(1, 8, 1)])
         assert bottleneck(a, b) == 1
+
+    def test_finite_results_are_fractions(self):
+        bc = Barcode([Bar(0, 2, 0), Bar(1, INF, 1)])
+        assert type(bottleneck(bc, bc)) is Fraction
+        assert type(bottleneck(Barcode([]), Barcode([]))) is Fraction
+        assert type(bottleneck(Barcode([Bar(0, 2, 0)]), Barcode([Bar(0, 3, 0)]))) is Fraction
+
+    def test_matches_brute_force_oracle(self):
+        rng = random.Random(20161)
+        seen = {"inf": 0, "ties": 0, "unequal": 0, "empty_side": 0, "degrees": 0}
+        for _ in range(400):
+            degrees = rng.choice([(0,), (0, 1), (0, 1, 2)])
+            a = _random_barcode(rng, degrees)
+            b = _random_barcode(rng, degrees)
+            expected = _brute_force_bottleneck(a, b)
+            got = bottleneck(a, b)
+            assert got == expected, (a, b)
+            if got == INF:
+                seen["inf"] += 1
+                continue
+            assert type(got) is Fraction
+            fin = [x for x in a.bars + b.bars if x.is_finite]
+            costs = [max(abs(x.birth - y.birth), abs(x.death - y.death))
+                     for x in fin for y in fin if x is not y]
+            seen["ties"] += len(costs) != len(set(costs))
+            seen["unequal"] += len(a.bars) != len(b.bars)
+            seen["empty_side"] += not a.bars or not b.bars
+            seen["degrees"] += len({x.degree for x in a.bars + b.bars}) > 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_thousand_bars_per_side(self):
+        rng = random.Random(1000)
+
+        def bars(n):
+            out = []
+            for _ in range(n):
+                birth = F(rng.randint(0, 1000), rng.choice([1, 2, 3, 4]))
+                out.append(Bar(birth, birth + F(rng.randint(1, 200), rng.choice([1, 2, 3])), 0))
+            return Barcode(out)
+
+        a, b = bars(1000), bars(1000)
+        start = time.perf_counter()
+        d = bottleneck(a, b)
+        elapsed = time.perf_counter() - start
+        assert type(d) is Fraction
+        # deleting every bar is a matching, so half the longest bar bounds d
+        assert 0 < d <= max(x.length for x in a.bars + b.bars) / 2
+        assert elapsed < 5.0, elapsed
+
+
+def _random_barcode(rng, degrees):
+    """At most four bars on a coarse grid, so that equal costs are common;
+    about one in eight is unbounded."""
+    bars = []
+    for _ in range(rng.randint(0, 4)):
+        birth = F(rng.randint(0, 6), 2)
+        if rng.random() < 0.125:
+            bars.append(Bar(birth, INF, rng.choice(degrees)))
+        else:
+            bars.append(Bar(birth, birth + F(rng.randint(1, 4), 2), rng.choice(degrees)))
+    return Barcode(bars)
+
+
+def _brute_force_bottleneck(a, b):
+    """Bottleneck distance by enumerating, in every degree, each bijection of
+    the unbounded bars and each partial matching of the finite bars, the
+    unmatched ones going to the diagonal at half their length."""
+    best = F(0)
+    for degree in {x.degree for x in a.bars + b.bars}:
+        inf_a = [x.birth for x in a.in_degree(degree) if not x.is_finite]
+        inf_b = [x.birth for x in b.in_degree(degree) if not x.is_finite]
+        if len(inf_a) != len(inf_b):
+            return INF
+        fin_a = [x for x in a.in_degree(degree) if x.is_finite]
+        fin_b = [x for x in b.in_degree(degree) if x.is_finite]
+        inf_cost = min(max((abs(x - y) for x, y in zip(inf_a, perm)), default=F(0))
+                       for perm in itertools.permutations(inf_b))
+        best = max(best, inf_cost, _partial_matching_cost(fin_a, fin_b))
+    return best
+
+
+def _partial_matching_cost(fin_a, fin_b):
+    """Least bottleneck cost over every partial matching of fin_a to fin_b."""
+    if not fin_a:
+        return max((y.length / 2 for y in fin_b), default=F(0))
+    x, rest = fin_a[0], fin_a[1:]
+    best = max(x.length / 2, _partial_matching_cost(rest, fin_b))
+    for j, y in enumerate(fin_b):
+        pair = max(abs(x.birth - y.birth), abs(x.death - y.death))
+        best = min(best, max(pair, _partial_matching_cost(rest, fin_b[:j] + fin_b[j + 1:])))
+    return best
 
 
 class TestScan:
