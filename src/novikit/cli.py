@@ -2,49 +2,31 @@
 
 Exit codes: 0 success, 1 domain failure (validation, divergence, or a
 violated semicontinuity verdict), 2 input error (unreadable file, parse
-error, bad flags).  Rationals on the command line and in all output are
-"p/q" strings.  The environment variable NOVIKIT_THREADS sets the worker
-count for per-parameter work; output ordering is independent of it.
+error, bad flags), 3 an internal limit was hit (the iteration caps of
+column saturation, cancellation and scan refinement; the message names
+it).  Rationals on the command line and in all output are "p/q"
+strings.  Input files name their field as q or f<p>, p a prime below
+2^31.  ``rho`` prints the spectral value only; the spectrum itself is
+``invariants.spectrum``.  Each command imports only the modules it runs.
+Commands run serially; the environment variable NOVIKIT_THREADS is
+accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .complexes import FilteredComplex, basis_chain, chain_cleanup, validate
 from .envelope import render_fraction
 from .fileformat import ParseError, emit, parse
-from .invariants import (
-    MissingContinuation,
-    boundary_depth,
-    rho,
-    scan_semicontinuity,
-)
-from .models import (
-    InfeasibleSpec,
-    ModelSpec,
-    gen_elementary,
-    gen_pathological,
-    gen_random,
-    line_family,
-)
 from .reduction import FloerDivergenceError, floer_divergence_check, persistence_barcode
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
-
-
-def _threads() -> int:
-    raw = os.environ.get("NOVIKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+EXIT_LIMIT = 3
 
 
 def _load(path: str, validate_first: bool = True) -> FilteredComplex:
@@ -110,8 +92,15 @@ def cmd_validate(args) -> int:
         for kind, witness in report.violations:
             print(f"FAIL {kind}: {witness}")
         return EXIT_DOMAIN
+    # The check reads only the matrix and the cutoff: one run per distinct
+    # matrix, reported at the first sample that has it.
+    checked: list = []
     for s in picked:
-        check = floer_divergence_check(cx.boundary_matrix(s), cx.cutoff)
+        matrix = cx.boundary_matrix(s)
+        if matrix in checked:
+            continue
+        checked.append(matrix)
+        check = floer_divergence_check(matrix, cx.cutoff)
         if not check:
             w = check.witness
             trace = " ".join(f"({render_fraction(v.v0)},{render_fraction(v.v1)})"
@@ -134,13 +123,12 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_rho(args) -> int:
+    from .invariants import rho
+
     cx = _load(args.path)
     chain = _cycle_chain(cx, args.cycle)
     try:
         res = rho(cx, chain, args.t, args.cutoff)
-    except FloerDivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
     except ValueError as err:
         return _input_error(str(err))
     print("-inf" if res.degenerate else render_fraction(res.value))
@@ -148,12 +136,11 @@ def cmd_rho(args) -> int:
 
 
 def cmd_beta(args) -> int:
+    from .invariants import boundary_depth
+
     cx = _load(args.path)
-    ts = args.t
     try:
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            values = list(pool.map(
-                lambda t: boundary_depth(cx, t, prevalidated=True), ts))
+        values = [boundary_depth(cx, t, prevalidated=True) for t in args.t]
     except ValueError as err:
         return _input_error(str(err))
     for v in values:
@@ -162,16 +149,13 @@ def cmd_beta(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .invariants import scan_semicontinuity
+
     cx = _load(args.path)
     chain = _cycle_chain(cx, args.cycle)
     grid = args.grid if args.grid else list(cx.samples)
     try:
         report = scan_semicontinuity(cx, chain, grid)
-    except MissingContinuation as err:
-        return _input_error(str(err))
-    except FloerDivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
     except ValueError as err:
         return _input_error(str(err))
     print(report.to_json())
@@ -179,6 +163,15 @@ def cmd_scan(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .models import (
+        InfeasibleSpec,
+        ModelSpec,
+        gen_elementary,
+        gen_pathological,
+        gen_random,
+        line_family,
+    )
+
     try:
         spec = ModelSpec(
             seed=args.seed,
@@ -274,6 +267,12 @@ def main(argv=None) -> int:
     except SystemExit as err:
         code = err.code
         return code if isinstance(code, int) else EXIT_INPUT
+    except FloerDivergenceError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except RuntimeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_LIMIT
 
 
 if __name__ == "__main__":

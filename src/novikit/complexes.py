@@ -194,15 +194,7 @@ def ell_curve(cx: FilteredComplex, chain: Chain) -> env.PiecewiseAffine:
 
 def apply_boundary(cx: FilteredComplex, s, chain: Chain) -> dict[str, NovikovElement]:
     """Exact matrix-vector product of the s-slice boundary with a chain."""
-    matrix = cx.boundary_matrix(s)
-    out: dict[str, NovikovElement] = {}
-    for col, coeff in chain.items():
-        if coeff.is_zero():
-            continue
-        for row, entry in matrix.get(col, {}).items():
-            term = entry * coeff
-            out[row] = out[row] + term if row in out else term
-    return chain_cleanup(out)
+    return apply_matrix(cx, cx.boundary_matrix(s), chain)
 
 
 def apply_matrix(cx: FilteredComplex, matrix: Matrix, chain: Chain) -> dict[str, NovikovElement]:
@@ -239,12 +231,42 @@ def _check_entry_compat(cx: FilteredComplex, entry: NovikovElement) -> None:
         raise ModeMismatch("matrix entry incompatible with complex ring data")
 
 
+def _matrix_violations(cx: FilteredComplex, matrix: Matrix, names: set,
+                       degrees: dict) -> list:
+    """The violations that depend on the matrix alone, in report order,
+    each witness without its sample: dangling columns and rows, grading,
+    then square-zero."""
+    found: list = []
+    for col, column in matrix.items():
+        if col not in names:
+            found.append(("dangling-column", (col,)))
+            continue
+        for row, entry in column.items():
+            if row not in names:
+                found.append(("dangling-row", (col, row)))
+                continue
+            _check_entry_compat(cx, entry)
+            if not entry.is_zero() and degrees[row] != degrees[col] - 1:
+                found.append(("grading", (col, row)))
+    # square zero, exactly
+    for col in matrix:
+        if col not in names:
+            continue
+        image = apply_matrix(cx, matrix, {col: _unit(cx)})
+        second = apply_matrix(cx, matrix, image)
+        if second:
+            found.append(("square-nonzero", (col, sorted(second))))
+    return found
+
+
 def validate(cx: FilteredComplex, grid: Iterable | None = None) -> ValidationReport:
     """Structural and filtration checks at every requested sample.
 
     Verifies exact square-zero of each sampled boundary, the grading
     (entries lower degree by one), and strict filtration decrease of every
-    nonzero column at each sampled s.  Violations carry witnesses.
+    nonzero column at each sampled s.  Violations carry witnesses.  The
+    checks that read only the matrix run once per distinct (``==``) matrix
+    and are reported again, with their s, at every sample that has it.
     """
     violations: list = []
     names = set(cx.generator_names)
@@ -256,27 +278,14 @@ def validate(cx: FilteredComplex, grid: Iterable | None = None) -> ValidationRep
             violations.append(("missing-sample", s))
     samples = [s for s in samples if s in cx.boundaries]
 
+    checked: list = []  # (matrix, its _matrix_violations)
     for s in samples:
         matrix = cx.boundaries[s]
-        for col, column in matrix.items():
-            if col not in names:
-                violations.append(("dangling-column", (s, col)))
-                continue
-            for row, entry in column.items():
-                if row not in names:
-                    violations.append(("dangling-row", (s, col, row)))
-                    continue
-                _check_entry_compat(cx, entry)
-                if not entry.is_zero() and degrees[row] != degrees[col] - 1:
-                    violations.append(("grading", (s, col, row)))
-        # square zero, exactly
-        for col in matrix:
-            if col not in names:
-                continue
-            image = apply_matrix(cx, matrix, {col: _unit(cx)})
-            second = apply_matrix(cx, matrix, image)
-            if second:
-                violations.append(("square-nonzero", (s, col, sorted(second))))
+        found = next((v for m, v in checked if m == matrix), None)
+        if found is None:
+            found = _matrix_violations(cx, matrix, names, degrees)
+            checked.append((matrix, found))
+        violations.extend((kind, (s, *witness)) for kind, witness in found)
         # strict filtration decrease per nonzero column
         for col, column in matrix.items():
             if col not in names:

@@ -26,10 +26,17 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# Primes are checked by trial division, which stays fast below this cap.
+PRIME_CAP = 2 ** 31
+
+
 class PrimeField:
-    """The field Z/p, elements represented as ints in range(p)."""
+    """The field Z/p for a prime p < 2^31, elements represented as ints in
+    range(p)."""
 
     def __init__(self, p: int = 2):
+        if p >= PRIME_CAP:
+            raise FieldError(f"{p} is not below 2^31")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p

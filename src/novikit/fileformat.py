@@ -4,9 +4,9 @@ The format is line based and fully canonical on emission, so that
 emit -> parse -> emit is byte-identical.  Rationals are always "p/q"
 strings; exponent vectors are comma-separated integers ("." for a rank-0
 lattice); unknown sections or keys, and values outside their domain
-(field, cutoff, rank, period vector lengths, boundary samples and
-continuation endpoints, which lie in [0, 1]), are rejected with the
-offending line number.
+(field, whose prime must lie below 2^31, cutoff, rank, period vector
+lengths, boundary samples and continuation endpoints, which lie in
+[0, 1]), are rejected with the offending line number.
 
     # novikit complex v1
     [options]
@@ -296,7 +296,8 @@ class _Parser:
                 try:
                     field_by_name(val)
                 except (FieldError, ValueError):
-                    self.fail(idx, f"bad field {val!r} (need f<prime> or q)")
+                    self.fail(idx, f"bad field {val!r} (need f<p>, p a prime "
+                                   f"below 2^31, or q)")
                 self.options[key] = val
         elif sec == "period-system":
             key, _, val = line.partition("=")

@@ -40,6 +40,10 @@ from .reduction import (
 from .series import INF, NovikovElement, TWeightedOrder
 
 
+# Cap on the envelope refinement rounds of scan_semicontinuity.
+REFINEMENT_ROUNDS = 64
+
+
 class SpectralError(ValueError):
     pass
 
@@ -56,7 +60,6 @@ class SpectralResult:
     value: object
     witness: dict[str, NovikovElement]
     boundary: dict[str, NovikovElement]
-    spectrum_member: bool | None
     degenerate: bool = False
 
 
@@ -87,7 +90,7 @@ def _rho_against_matrix(cx: FilteredComplex, matrix, cycle: Chain, t: Fraction,
                         cutoff: Fraction) -> SpectralResult:
     cycle = chain_cleanup(cycle)
     if not cycle:
-        return SpectralResult(NEG_INF, {}, {}, None, degenerate=True)
+        return SpectralResult(NEG_INF, {}, {}, degenerate=True)
     closed = apply_matrix(cx, matrix, cycle)
     if closed:
         raise SpectralError("input chain is not a cycle at this parameter")
@@ -99,15 +102,10 @@ def _rho_against_matrix(cx: FilteredComplex, matrix, cycle: Chain, t: Fraction,
                                      offsets=offsets, require_normalized=False)
     witness = chain_sub(cycle, u)
     if chain_is_zero(witness):
-        return SpectralResult(NEG_INF, {}, u, None, degenerate=True)
+        return SpectralResult(NEG_INF, {}, u, degenerate=True)
     value = -achieved.weight(t)
     assert ell(cx, witness, t) == value
-    member = None
-    try:
-        member = value in spectrum_against(cx, cutoff, t)
-    except SpectralError:
-        member = None
-    return SpectralResult(value, witness, u, member)
+    return SpectralResult(value, witness, u)
 
 
 def rho(cx: FilteredComplex, cycle: Chain, t, cutoff=None) -> SpectralResult:
@@ -423,18 +421,24 @@ class MissingContinuation(ValueError):
     pass
 
 
+def _continuation_from_zero(cx: FilteredComplex, t: Fraction):
+    """The first continuation quadruple from 0 to t, or None."""
+    return next((data for data in cx.continuations
+                 if data.s_from == 0 and data.s_to == t), None)
+
+
 def _pushforward(cx: FilteredComplex, t: Fraction, cycle: Chain,
-                 base_matrix, slice_matrix):
+                 base_matrix, slice_matrix) -> Chain:
     """The cycle carried into the t-slice: identity on equal slices, else
     the phi map of an explicit continuation quadruple from 0 to t."""
     if _matrices_equal(base_matrix, slice_matrix):
-        return dict(cycle), None
-    for data in cx.continuations:
-        if data.s_from == 0 and data.s_to == t:
-            return apply_matrix(cx, data.phi, cycle), data
-    raise MissingContinuation(
-        f"no continuation data from 0 to {t} for a differing boundary slice"
-    )
+        return dict(cycle)
+    data = _continuation_from_zero(cx, t)
+    if data is None:
+        raise MissingContinuation(
+            f"no continuation data from 0 to {t} for a differing boundary slice"
+        )
+    return apply_matrix(cx, data.phi, cycle)
 
 
 def _pullback_level(cx, columns, witness_t, witness_0, cutoff):
@@ -491,7 +495,7 @@ def scan_semicontinuity(cx: FilteredComplex, cycle: Chain, grid: Iterable,
 
         for g in grid:
             probe(g)
-        for _ in range(64):
+        for _ in range(REFINEMENT_ROUNDS):
             curves = [ell_curve(cx, w) for w in witnesses.values()]
             curve = env.pointwise_min(curves)
             knots = list(curve.knots)
@@ -514,7 +518,7 @@ def scan_semicontinuity(cx: FilteredComplex, cycle: Chain, grid: Iterable,
             witness_levels[t] = _pullback_level(cx, columns, witnesses[t], w0, cutoff)
     else:
         for t in grid:
-            pushed, _ = _pushforward(cx, t, cycle, base, matrices[t])
+            pushed = _pushforward(cx, t, cycle, base, matrices[t])
             res = _rho_against_matrix(cx, matrices[t], pushed, t, cutoff)
             if res.degenerate:
                 raise SpectralError("cycle bounds at cutoff scale; curve undefined")
@@ -540,11 +544,7 @@ def scan_semicontinuity(cx: FilteredComplex, cycle: Chain, grid: Iterable,
         columns = _boundary_columns_into_degree(cx, base, degree)
         w0 = witnesses[Fraction(0)]
         for t in grid[1:]:
-            data = None
-            for cont in cx.continuations:
-                if cont.s_from == 0 and cont.s_to == t:
-                    data = cont
-                    break
+            data = _continuation_from_zero(cx, t)
             pulled = witnesses[t] if data is None else apply_matrix(cx, data.psi, witnesses[t])
             witness_levels[t] = _pullback_level(cx, columns, pulled, w0, cutoff)
 

@@ -25,8 +25,9 @@ from .complexes import (
     CappedGenerator,
     ContinuationData,
     FilteredComplex,
-    apply_matrix,
+    _matrix_add,
     chain_cleanup,
+    compose_matrices,
     validate,
 )
 from .fields import field_by_name
@@ -208,7 +209,7 @@ def _conjugators(spec: ModelSpec, cx: FilteredComplex, basis_seed: int):
             n_matrix.setdefault(col, {})[row] = entry
 
     ident = {n: {n: one} for n in names}
-    p = _matrix_sum(ident, n_matrix)
+    p = _matrix_add(cx, ident, n_matrix)
     # (I + N)^-1 = I - N + N^2 - ... ; N is nilpotent (strictly triangular).
     inv = {n: {n: one} for n in names}
     power = {c: dict(col) for c, col in n_matrix.items()}
@@ -218,8 +219,8 @@ def _conjugators(spec: ModelSpec, cx: FilteredComplex, basis_seed: int):
             break
         signed = {c: {r: (e if sign > 0 else -e) for r, e in col.items()}
                   for c, col in power.items()}
-        inv = _matrix_sum(inv, signed)
-        power = _matrix_compose(cx, n_matrix, power)
+        inv = _matrix_add(cx, inv, signed)
+        power = compose_matrices(cx, n_matrix, power)
         sign = -sign
     return p, inv
 
@@ -244,24 +245,6 @@ def _filtered_entry(rng: random.Random, cx: FilteredComplex, row: str, col: str)
                     scaled, coeff)
 
 
-def _matrix_sum(a, b):
-    out = {c: dict(col) for c, col in a.items()}
-    for c, col in b.items():
-        acc = out.setdefault(c, {})
-        for r, e in col.items():
-            acc[r] = acc[r] + e if r in acc else e
-    return {c: chain_cleanup(col) for c, col in out.items() if chain_cleanup(col)}
-
-
-def _matrix_compose(cx, outer, inner):
-    out = {}
-    for c, col in inner.items():
-        acc = apply_matrix(cx, outer, col)
-        if acc:
-            out[c] = acc
-    return out
-
-
 def gen_random(spec: ModelSpec, basis_seed: int | None = None) -> FilteredComplex:
     """Elementary model conjugated by a random filtered change of basis.
 
@@ -277,7 +260,7 @@ def gen_random(spec: ModelSpec, basis_seed: int | None = None) -> FilteredComple
         basis_seed = spec.seed + 1000003
     p, pinv = _conjugators(spec, base, basis_seed)
     d = base.boundary_matrix(base.samples[0])
-    conj = _matrix_compose(base, p, _matrix_compose(base, d, pinv))
+    conj = compose_matrices(base, p, compose_matrices(base, d, pinv))
     boundaries = {s: {c: dict(col) for c, col in conj.items()}
                   for s in base.samples}
     return FilteredComplex(base.system, base.coefficient_field, base.mode,

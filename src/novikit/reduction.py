@@ -45,6 +45,8 @@ from .series import (
 
 DEFAULT_STALL_WINDOW = 8
 DEFAULT_MAX_STEPS = 5000
+# Cap on the outer passes of _saturate.
+SATURATION_PASSES = 256
 
 
 class FloerDivergenceError(RuntimeError):
@@ -263,7 +265,7 @@ def _saturate(cols, exprs, geom, order, ambient, cutoff, stall_window):
     """
     field = ambient.field
     work = [(dict(c), dict(e)) for c, e in zip(cols, exprs)]
-    for _ in range(256):
+    for _ in range(SATURATION_PASSES):
         changed = False
         for i in range(len(work)):
             col, expr = work[i]
@@ -660,14 +662,17 @@ class Bar:
 
     def __post_init__(self):
         object.__setattr__(self, "birth", Fraction(self.birth))
-        if self.death != INF:
+        if self.death == INF:
+            # The singleton, so that is_finite is an identity test.
+            object.__setattr__(self, "death", INF)
+        else:
             object.__setattr__(self, "death", Fraction(self.death))
             if not self.birth < self.death:
                 raise ValueError("finite bars need birth < death")
 
     @property
     def is_finite(self) -> bool:
-        return self.death != INF
+        return self.death is not INF
 
     @property
     def length(self):

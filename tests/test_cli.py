@@ -1,3 +1,4 @@
+import importlib
 import io
 import os
 import subprocess
@@ -7,22 +8,26 @@ from fractions import Fraction
 import pytest
 
 from novikit.cli import main
+from novikit.complexes import FilteredComplex
 from novikit.fileformat import emit, parse
 from novikit.models import ModelSpec, gen_elementary, gen_pathological
 
 F = Fraction
 
 
-def run_cli(argv, env_extra=None):
+def _env(env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src")]
         + env.get("PYTHONPATH", "").split(os.pathsep))
-    if env_extra:
-        env.update(env_extra)
+    env.update(env_extra or {})
+    return env
+
+
+def run_cli(argv, env_extra=None, module="novikit.cli", python_flags=None):
     proc = subprocess.run(
-        [sys.executable, "-m", "novikit.cli", *argv],
-        capture_output=True, text=True, env=env)
+        [sys.executable, *(python_flags or ()), "-m", module, *argv],
+        capture_output=True, text=True, env=_env(env_extra), timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -104,7 +109,9 @@ class TestInputContract:
         ("[boundary", "[boundary s=2/1]"),
         (None, "[continuation foo]"),
         ("cutoff =", "cutoff = -1/1"),
-    ], ids=["f4", "fx", "omega0", "rank", "boundary-s", "continuation", "cutoff"])
+        ("field =", "field = f1000000000000000000000000000057"),
+    ], ids=["f4", "fx", "omega0", "rank", "boundary-s", "continuation", "cutoff",
+            "huge-prime"])
     def test_malformed_value_names_its_line(self, model_file, tmp_path,
                                             prefix, replacement):
         text, line_no = _mutate(open(model_file).read(), prefix, replacement)
@@ -129,6 +136,119 @@ class TestInputContract:
         assert out == ""
         assert f"line {line_no}:" in err and "outside [0, 1]" in err
         assert "Traceback" not in err
+
+    def test_largest_prime_field_validates(self, line_file, tmp_path):
+        text, _ = _mutate(open(line_file).read(), "field =", "field = f2147483647")
+        path = tmp_path / "big.nvk"
+        path.write_text(text)
+        code, out, err = run_cli(["validate", str(path)])
+        assert (code, err) == (0, "")
+        assert out.startswith("OK 5 samples")
+
+
+class TestInternalLimits:
+    """An internal iteration cap is exit 3 with one error line, never a
+    traceback; a divergence failure stays exit 1."""
+
+    @pytest.mark.parametrize("module, cap, argv, message", [
+        ("reduction", "SATURATION_PASSES", ["validate"],
+         "column saturation failed to stabilize"),
+        ("reduction", "DEFAULT_MAX_STEPS", ["validate"],
+         "no termination within 0 steps"),
+        ("invariants", "REFINEMENT_ROUNDS", ["scan", "--cycle", "z0"],
+         "spectral curve failed to stabilize"),
+    ], ids=["saturation", "cancellation", "refinement"])
+    def test_cap_is_exit_3(self, monkeypatch, capsys, model_file, module, cap,
+                           argv, message):
+        monkeypatch.setattr(importlib.import_module(f"novikit.{module}"), cap, 0)
+        code = main([argv[0], model_file, *argv[1:]])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == f"error: {message}\n"
+
+    def test_divergence_stays_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "bad.nvk"
+        path.write_text(emit(gen_pathological()))
+        code = main(["rho", str(path), "--cycle", "x", "--t", "1/1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+
+
+class TestPerCommandWork:
+    def test_validate_and_barcode_import_only_what_they_run(self, model_file):
+        for argv in (["validate", model_file], ["barcode", model_file, "--t", "1/2"]):
+            code, _, err = run_cli(argv, module="novikit",
+                                   python_flags=["-X", "importtime"])
+            assert code == 0
+            imported = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+                        if line.startswith("import time:")}
+            assert "novikit.reduction" in imported
+            assert not imported & {"novikit.invariants", "novikit.models",
+                                   "concurrent.futures"}
+
+    def test_import_novikit_loads_no_submodule(self):
+        code = ("import sys, novikit; "
+                "print(sorted(m for m in sys.modules if m.startswith('novikit.')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=_env(), timeout=120).stdout
+        assert out.strip() == "[]"
+
+    def test_every_exported_name_resolves(self):
+        import novikit
+
+        assert len(novikit.__all__) == len(set(novikit.__all__))
+        for name in novikit.__all__:
+            assert getattr(novikit, name) is not None
+        assert set(novikit.__all__) <= set(dir(novikit))
+        with pytest.raises(AttributeError):
+            novikit.no_such_name
+
+    @staticmethod
+    def _count_checks(monkeypatch):
+        import novikit.cli
+
+        calls = []
+        inner = novikit.cli.floer_divergence_check
+        monkeypatch.setattr(novikit.cli, "floer_divergence_check",
+                            lambda *a, **k: calls.append(1) or inner(*a, **k))
+        return calls
+
+    def test_one_divergence_check_per_distinct_matrix(self, monkeypatch, capsys,
+                                                      model_file, line_file,
+                                                      tmp_path):
+        calls = self._count_checks(monkeypatch)
+        for path in (model_file, line_file):
+            calls.clear()
+            assert main(["validate", path]) == 0
+            assert len(calls) == 1
+        # two distinct matrices over five samples: the entry at s = 1/2 is
+        # doubled, which keeps every check passing over q
+        cx = gen_elementary(ModelSpec(seed=2, n_pairs=2, lattice_rank=0,
+                                      field_name="q"))
+        half = F(1, 2)
+        boundaries = dict(cx.boundaries)
+        boundaries[half] = {c: {r: e + e for r, e in col.items()}
+                            for c, col in cx.boundaries[half].items()}
+        path = tmp_path / "two.nvk"
+        path.write_text(emit(FilteredComplex(
+            cx.system, cx.coefficient_field, cx.mode, cx.cutoff,
+            cx.generators, boundaries)))
+        calls.clear()
+        assert main(["validate", str(path)]) == 0
+        assert len(calls) == 2
+        assert capsys.readouterr().out == "OK 5 samples validated\n" * 3
+
+    def test_seed_defect_a_still_fails(self, tmp_path):
+        code, text, err = run_cli(["gen", "--model", "random", "--seed", "3",
+                                   "--pairs", "12", "--closed", "2",
+                                   "--density", "1/2"])
+        assert code == 0, err
+        path = tmp_path / "defect.nvk"
+        path.write_text(text)
+        code, out, _ = run_cli(["validate", str(path)])
+        assert code == 1
+        assert out.startswith("FAIL divergence at s=0/1: ")
 
 
 class TestCommands:

@@ -75,6 +75,40 @@ class TestValidate:
         assert any(v[0] == "dangling-column" for v in report.violations)
 
 
+    def test_matrix_checks_once_per_distinct_matrix(self, monkeypatch, axes, ring):
+        # Identical samples carry a grading and two square-zero violations;
+        # the tilted w fails filtration at s = 1 only.  The expected list is
+        # what a full check at every sample reports.
+        from novikit import complexes
+
+        gens = (CappedGenerator("c", 0, 0, 0), CappedGenerator("b", 1, 1, 0),
+                CappedGenerator("a", 2, 2, 0), CappedGenerator("w", 1, 5, -5))
+        one = ring.one()
+        cx = make_complex(axes, gens, {"a": {"b": one}, "b": {"c": one},
+                                       "w": {"b": one}})
+        calls = []
+        inner = complexes._matrix_violations
+        monkeypatch.setattr(complexes, "_matrix_violations",
+                            lambda *a: calls.append(1) or inner(*a))
+        expected = []
+        for s in SAMPLES:
+            expected += [("grading", (s, "w", "b")),
+                         ("square-nonzero", (s, "a", ["c"])),
+                         ("square-nonzero", (s, "w", ["c"]))]
+        expected.append(("filtration", (F(1), "w", F(1), F(0))))
+        assert validate(cx).violations == expected
+        assert len(calls) == 1
+
+        # a second, distinct matrix at s = 1/2 is checked on its own
+        boundaries = dict(cx.boundaries)
+        boundaries[F(1, 2)] = {"b": {"c": one}}
+        other = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens, boundaries)
+        calls.clear()
+        assert validate(other).violations == (
+            expected[:3] + expected[6:])
+        assert len(calls) == 2
+
+
 class TestEll:
     def test_zero_chain(self, elementary):
         assert ell(elementary, {}, F(1, 2)) == NEG_INF

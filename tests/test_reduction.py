@@ -313,6 +313,9 @@ class TestBarcode:
         with pytest.raises(ValueError):
             Bar(2, 1, 0)
         assert Bar(1, INF, 3).length == INF
+        # any float infinity is stored as the INF singleton
+        assert not Bar(1, float("inf"), 3).is_finite
+        assert Bar(1, float("inf"), 3) == Bar(1, INF, 3)
 
     def test_entry_cancelling_at_special_slice(self, axes, ring):
         # over GF(2) the exponents (0,1) and (1,0) share the value 1/2 at
