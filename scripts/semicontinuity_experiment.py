@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from novikit import basis_chain, scan_semicontinuity
-from novikit.envelope import render_fraction
+from novikit.fields import render_fraction
 from novikit.models import ModelSpec, gen_elementary, line_family, shift_constants
 
 

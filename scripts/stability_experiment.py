@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from novikit import bottleneck, persistence_barcode
-from novikit.envelope import render_fraction
+from novikit.fields import render_fraction
 from novikit.models import ModelSpec, gen_elementary, line_family, shift_constants
 
 

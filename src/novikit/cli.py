@@ -7,9 +7,18 @@ column saturation, cancellation and scan refinement; the message names
 it).  Rationals on the command line and in all output are "p/q"
 strings.  Input files name their field as q or f<p>, p a prime below
 2^31.  ``rho`` prints the spectral value only; the spectrum itself is
-``invariants.spectrum``.  Each command imports only the modules it runs.
-Commands run serially; the environment variable NOVIKIT_THREADS is
-accepted and ignored.
+``invariants.spectrum``.  Commands run serially; the environment variable
+NOVIKIT_THREADS is accepted and ignored.
+
+Each command loads only the modules it runs.  All of them load
+``fileformat``, ``complexes``, ``series``, ``periods`` and ``fields``;
+``validate`` and ``barcode`` add ``reduction``; ``beta``, ``rho`` and
+``scan`` add ``reduction``, ``invariants`` and ``envelope``; ``gen`` adds
+``models``.  Start-up is most of a typical job, and where bytecode is not
+cached (PYTHONDONTWRITEBYTECODE=1, a read-only install) each run compiles
+every module it loads.  Hence ``reduction`` is imported inside the
+commands that use it, and the package uses no ``dataclasses`` (whose
+import pulls in ``inspect``).
 """
 
 from __future__ import annotations
@@ -19,9 +28,8 @@ import sys
 from fractions import Fraction
 
 from .complexes import FilteredComplex, basis_chain, chain_cleanup, validate
-from .envelope import render_fraction
+from .fields import render_fraction
 from .fileformat import ParseError, emit, parse
-from .reduction import FloerDivergenceError, floer_divergence_check, persistence_barcode
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -80,6 +88,8 @@ def _cycle_chain(cx: FilteredComplex, names_arg: str):
 
 
 def cmd_validate(args) -> int:
+    from .reduction import floer_divergence_check
+
     cx = _load(args.path, validate_first=False)
     samples = cx.samples
     if args.grid and args.grid < len(samples):
@@ -113,6 +123,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_barcode(args) -> int:
+    from .reduction import persistence_barcode
+
     cx = _load(args.path)
     try:
         barcode = persistence_barcode(cx, args.t, prevalidated=True)
@@ -164,6 +176,7 @@ def cmd_scan(args) -> int:
 
 def cmd_gen(args) -> int:
     from .models import (
+        DEFAULT_SAMPLES,
         InfeasibleSpec,
         ModelSpec,
         gen_elementary,
@@ -181,8 +194,7 @@ def cmd_gen(args) -> int:
             cutoff=args.cutoff,
             field_name=args.field,
             density=args.density,
-            samples=tuple(args.samples) if args.samples else
-            ModelSpec.__dataclass_fields__["samples"].default,
+            samples=tuple(args.samples) if args.samples else DEFAULT_SAMPLES,
         )
         if args.model == "elementary":
             cx = gen_elementary(spec)
@@ -267,12 +279,11 @@ def main(argv=None) -> int:
     except SystemExit as err:
         code = err.code
         return code if isinstance(code, int) else EXIT_INPUT
-    except FloerDivergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
     except RuntimeError as err:
+        from .reduction import FloerDivergenceError
+
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_LIMIT
+        return EXIT_DOMAIN if isinstance(err, FloerDivergenceError) else EXIT_LIMIT
 
 
 if __name__ == "__main__":

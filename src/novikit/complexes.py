@@ -11,11 +11,9 @@ continuation quadruples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from . import envelope as env
 from .periods import PeriodSystem
 from .series import INF, ModeMismatch, NovikovElement, RingMode, valuation_at, zero
 
@@ -31,18 +29,25 @@ class StructureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class CappedGenerator:
     """A graded basis generator with an affine action offset in t."""
 
-    name: str
-    degree: int
-    action0: Fraction
-    action_slope: Fraction
+    __slots__ = ("name", "degree", "action0", "action_slope")
 
-    def __post_init__(self):
-        object.__setattr__(self, "action0", Fraction(self.action0))
-        object.__setattr__(self, "action_slope", Fraction(self.action_slope))
+    def __init__(self, name: str, degree: int, action0, action_slope):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "action0", Fraction(action0))
+        object.__setattr__(self, "action_slope", Fraction(action_slope))
+
+    def __setattr__(self, *args):
+        raise AttributeError("CappedGenerator is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CappedGenerator:
+            return NotImplemented
+        return (self.name, self.degree, self.action0, self.action_slope) == \
+            (other.name, other.degree, other.action0, other.action_slope)
 
     def action_at(self, t) -> Fraction:
         return self.action0 + Fraction(t) * self.action_slope
@@ -52,7 +57,6 @@ class CappedGenerator:
         return (self.action0, self.action0 + self.action_slope)
 
 
-@dataclass(frozen=True)
 class ContinuationData:
     """A quadruple of chain maps and homotopies with filtration shifts.
 
@@ -61,53 +65,61 @@ class ContinuationData:
     shift bounds (s1, s2) cap the filtration change of phi and psi.
     """
 
-    s_from: Fraction
-    s_to: Fraction
-    phi: Matrix
-    psi: Matrix
-    k_s: Matrix
-    k_t: Matrix
-    shift1: Fraction
-    shift2: Fraction
+    __slots__ = ("s_from", "s_to", "phi", "psi", "k_s", "k_t", "shift1", "shift2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s_from", Fraction(self.s_from))
-        object.__setattr__(self, "s_to", Fraction(self.s_to))
-        object.__setattr__(self, "shift1", Fraction(self.shift1))
-        object.__setattr__(self, "shift2", Fraction(self.shift2))
+    def __init__(self, s_from, s_to, phi: Matrix, psi: Matrix, k_s: Matrix,
+                 k_t: Matrix, shift1, shift2):
+        object.__setattr__(self, "s_from", Fraction(s_from))
+        object.__setattr__(self, "s_to", Fraction(s_to))
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "k_s", k_s)
+        object.__setattr__(self, "k_t", k_t)
+        object.__setattr__(self, "shift1", Fraction(shift1))
+        object.__setattr__(self, "shift2", Fraction(shift2))
+
+    def __setattr__(self, *args):
+        raise AttributeError("ContinuationData is immutable")
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    violations: list
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: list):
+        self.ok = ok
+        self.violations = violations
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
 class FilteredComplex:
     """Graded free module with a sampled family of boundary operators."""
 
-    system: PeriodSystem
-    coefficient_field: object
-    mode: RingMode
-    cutoff: Fraction
-    generators: tuple[CappedGenerator, ...]
-    boundaries: Mapping[Fraction, Matrix]
-    continuations: tuple[ContinuationData, ...] = ()
+    __slots__ = ("system", "coefficient_field", "mode", "cutoff", "generators",
+                 "boundaries", "continuations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cutoff", Fraction(self.cutoff))
-        object.__setattr__(self, "generators", tuple(self.generators))
-        names = [g.name for g in self.generators]
+    def __init__(self, system: PeriodSystem, coefficient_field, mode: RingMode,
+                 cutoff, generators: Iterable[CappedGenerator],
+                 boundaries: Mapping[Fraction, Matrix],
+                 continuations: Iterable[ContinuationData] = ()):
+        cutoff = Fraction(cutoff)
+        generators = tuple(generators)
+        names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise StructureError("generator names must be unique")
         bd = {Fraction(s): {c: dict(col) for c, col in m.items()}
-              for s, m in self.boundaries.items()}
+              for s, m in boundaries.items()}
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "coefficient_field", coefficient_field)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "boundaries", bd)
-        object.__setattr__(self, "continuations", tuple(self.continuations))
+        object.__setattr__(self, "continuations", tuple(continuations))
+
+    def __setattr__(self, *args):
+        raise AttributeError("FilteredComplex is immutable")
 
     @property
     def generator_names(self) -> tuple[str, ...]:
@@ -170,7 +182,7 @@ def ell(cx: FilteredComplex, chain: Chain, t) -> object:
     best = NEG_INF
     for name, coeff in chain.items():
         v = valuation_at(coeff, t)
-        if v == INF:
+        if v is INF:
             continue
         level = cx.action_at(name, t) - v
         if level > best:
@@ -178,8 +190,11 @@ def ell(cx: FilteredComplex, chain: Chain, t) -> object:
     return best
 
 
-def ell_curve(cx: FilteredComplex, chain: Chain) -> env.PiecewiseAffine:
-    """The exact piecewise-affine function t -> ell(chain, t)."""
+def ell_curve(cx: FilteredComplex, chain: Chain):
+    """The exact piecewise-affine function t -> ell(chain, t), an
+    ``envelope.PiecewiseAffine``."""
+    from .envelope import filtration_curve
+
     actions = []
     for name, coeff in chain.items():
         if coeff.is_zero():
@@ -189,7 +204,7 @@ def ell_curve(cx: FilteredComplex, chain: Chain) -> env.PiecewiseAffine:
         actions.append(((g.action0, g.action_slope), pts))
     if not actions:
         raise ValueError("zero chain has no filtration curve")
-    return env.filtration_curve(actions)
+    return filtration_curve(actions)
 
 
 def apply_boundary(cx: FilteredComplex, s, chain: Chain) -> dict[str, NovikovElement]:

@@ -13,9 +13,10 @@ slope ``-lam`` equals ``(1+lam)`` times the valuation curve at ``t``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .fields import render_fraction
 
 Point = tuple[Fraction, Fraction]
 Line = tuple[Fraction, Fraction]  # (slope, intercept): f(t) = intercept + slope*t
@@ -25,17 +26,19 @@ class EmptyCloud(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class PointCloud:
     """A finite nonempty set of distinct rational points (g0, g1)."""
 
-    points: tuple[Point, ...]
+    __slots__ = ("points",)
 
     def __init__(self, points: Iterable):
         pts = sorted({(Fraction(a), Fraction(b)) for a, b in points})
         if not pts:
             raise EmptyCloud("point cloud must be nonempty")
         object.__setattr__(self, "points", tuple(pts))
+
+    def __setattr__(self, *args):
+        raise AttributeError("PointCloud is immutable")
 
 
 def _cloud_points(cloud) -> tuple[Point, ...]:
@@ -44,7 +47,6 @@ def _cloud_points(cloud) -> tuple[Point, ...]:
     return PointCloud(cloud).points
 
 
-@dataclass(frozen=True)
 class PiecewiseAffine:
     """Continuous piecewise-affine function on [0, 1].
 
@@ -53,12 +55,11 @@ class PiecewiseAffine:
     [knots[i], knots[i+1]].  Adjacent pieces agree at the shared knot.
     """
 
-    knots: tuple[Fraction, ...]
-    pieces: tuple[Line, ...]
+    __slots__ = ("knots", "pieces")
 
-    def __post_init__(self):
-        ks = tuple(Fraction(k) for k in self.knots)
-        ps = tuple((Fraction(s), Fraction(b)) for s, b in self.pieces)
+    def __init__(self, knots: Iterable, pieces: Iterable):
+        ks = tuple(Fraction(k) for k in knots)
+        ps = tuple((Fraction(s), Fraction(b)) for s, b in pieces)
         object.__setattr__(self, "knots", ks)
         object.__setattr__(self, "pieces", ps)
         if len(ks) < 2 or ks[0] != 0 or ks[-1] != 1:
@@ -73,6 +74,14 @@ class PiecewiseAffine:
             k = ks[i + 1]
             if b0 + s0 * k != b1 + s1 * k:
                 raise ValueError(f"discontinuity at knot {k}")
+
+    def __setattr__(self, *args):
+        raise AttributeError("PiecewiseAffine is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PiecewiseAffine:
+            return NotImplemented
+        return self.knots == other.knots and self.pieces == other.pieces
 
     def __call__(self, t) -> Fraction:
         t = Fraction(t)
@@ -295,11 +304,6 @@ def intercept_from_curve(curve: PiecewiseAffine, lam) -> Fraction:
     """
     lam = Fraction(lam)
     return (1 + lam) * curve(lambda_to_t(lam))
-
-
-def render_fraction(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def curve_csv(curve: PiecewiseAffine, ts: Iterable) -> str:

@@ -3,7 +3,8 @@
 All arithmetic is exact.  Elements of ``PrimeField(p)`` are plain ints in
 ``range(p)``; elements of ``RationalField`` are ``fractions.Fraction``.
 The field object itself carries the operations, so series code stays
-agnostic of the concrete element type.
+agnostic of the concrete element type.  ``render_fraction`` is the one
+text form of a rational, in files and in all output.
 """
 
 from __future__ import annotations
@@ -13,6 +14,12 @@ from fractions import Fraction
 
 class FieldError(ValueError):
     pass
+
+
+def render_fraction(x) -> str:
+    """The canonical "p/q" string of a rational."""
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}"
 
 
 def _is_prime(p: int) -> bool:
@@ -139,7 +146,7 @@ class RationalField:
         return a == 0
 
     def render(self, a: Fraction) -> str:
-        return f"{a.numerator}/{a.denominator}"
+        return render_fraction(a)
 
     def parse(self, s: str) -> Fraction:
         return Fraction(s)

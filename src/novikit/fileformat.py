@@ -41,8 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import CappedGenerator, ContinuationData, FilteredComplex
-from .envelope import render_fraction
-from .fields import FieldError, field_by_name
+from .fields import FieldError, field_by_name, render_fraction
 from .periods import PeriodSystem
 from .series import NovikovElement, RingMode
 

@@ -11,9 +11,7 @@ lower semicontinuity is only ever reported, never asserted.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
@@ -30,6 +28,7 @@ from .complexes import (
     ell,
     ell_curve,
 )
+from .fields import render_fraction
 from .reduction import (
     Bar,
     Barcode,
@@ -48,7 +47,6 @@ class SpectralError(ValueError):
     pass
 
 
-@dataclass
 class SpectralResult:
     """A realized spectral value: the witness attains it exactly.
 
@@ -57,10 +55,14 @@ class SpectralResult:
     convention for cycles that bound at cutoff scale (or the zero cycle).
     """
 
-    value: object
-    witness: dict[str, NovikovElement]
-    boundary: dict[str, NovikovElement]
-    degenerate: bool = False
+    __slots__ = ("value", "witness", "boundary", "degenerate")
+
+    def __init__(self, value, witness: dict[str, NovikovElement],
+                 boundary: dict[str, NovikovElement], degenerate: bool = False):
+        self.value = value
+        self.witness = witness
+        self.boundary = boundary
+        self.degenerate = degenerate
 
 
 def _degree_of_chain(cx: FilteredComplex, chain: Chain) -> int:
@@ -375,7 +377,7 @@ def bottleneck(b1: Barcode, b2: Barcode):
     best = Fraction(0)
     for d in sorted(degrees):
         val = _bottleneck_degree(b1.in_degree(d), b2.in_degree(d))
-        if val == INF:
+        if val is INF:
             return INF
         best = max(best, val)
     return best
@@ -386,31 +388,38 @@ def bottleneck(b1: Barcode, b2: Barcode):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SemicontinuityReport:
-    curve: env.PiecewiseAffine
-    usc_at_zero: bool
-    lsc_at_zero: bool
-    right_limit: Fraction
-    value_at_zero: Fraction
-    grid_values: dict
-    witness_levels: dict = field(default_factory=dict)
+    __slots__ = ("curve", "usc_at_zero", "lsc_at_zero", "right_limit",
+                 "value_at_zero", "grid_values", "witness_levels")
+
+    def __init__(self, curve: env.PiecewiseAffine, usc_at_zero: bool,
+                 lsc_at_zero: bool, right_limit: Fraction, value_at_zero: Fraction,
+                 grid_values: dict, witness_levels: dict):
+        self.curve = curve
+        self.usc_at_zero = usc_at_zero
+        self.lsc_at_zero = lsc_at_zero
+        self.right_limit = right_limit
+        self.value_at_zero = value_at_zero
+        self.grid_values = grid_values
+        self.witness_levels = witness_levels
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "usc_at_zero": self.usc_at_zero,
             "lsc_at_zero": self.lsc_at_zero,
-            "right_limit": env.render_fraction(self.right_limit),
-            "value_at_zero": env.render_fraction(self.value_at_zero),
+            "right_limit": render_fraction(self.right_limit),
+            "value_at_zero": render_fraction(self.value_at_zero),
             "curve": {
-                "knots": [env.render_fraction(k) for k in self.curve.knots],
-                "pieces": [[env.render_fraction(s), env.render_fraction(b)]
+                "knots": [render_fraction(k) for k in self.curve.knots],
+                "pieces": [[render_fraction(s), render_fraction(b)]
                            for s, b in self.curve.pieces],
             },
-            "grid": {env.render_fraction(t): env.render_fraction(v)
+            "grid": {render_fraction(t): render_fraction(v)
                      for t, v in sorted(self.grid_values.items())},
             "pullback_levels": {
-                env.render_fraction(t): (env.render_fraction(v) if v is not None else None)
+                render_fraction(t): (render_fraction(v) if v is not None else None)
                 for t, v in sorted(self.witness_levels.items())
             },
         }
@@ -582,6 +591,6 @@ def rho_beta_csv(cx: FilteredComplex, cycle: Chain, ts: Iterable,
         t = Fraction(t)
         r = rho(cx, cycle, t, cutoff)
         beta = boundary_depth(cx, t)
-        value = "-inf" if r.degenerate else env.render_fraction(r.value)
-        rows.append(f"{env.render_fraction(t)},{value},{env.render_fraction(beta)}")
+        value = "-inf" if r.degenerate else render_fraction(r.value)
+        rows.append(f"{render_fraction(t)},{value},{render_fraction(beta)}")
     return "\n".join(rows) + "\n"

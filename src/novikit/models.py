@@ -17,7 +17,6 @@ output is reproducible across runs and platforms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -32,8 +31,7 @@ from .complexes import (
 )
 from .fields import field_by_name
 from .periods import PeriodSystem
-from .reduction import Bar, Barcode
-from .series import NovikovElement, RingMode, monomial, unit
+from .series import INF, NovikovElement, RingMode, monomial, unit
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2),
                    Fraction(3, 4), Fraction(1))
@@ -58,36 +56,42 @@ def _default_periods(rank: int) -> tuple[tuple, tuple]:
     return (tuple(base0), tuple(base1))
 
 
-@dataclass(frozen=True)
 class ModelSpec:
     """Configuration for instance generation; all draws are seed-determined."""
 
-    seed: int = 0
-    n_pairs: int = 2
-    n_closed: int = 1
-    lattice_rank: int = 2
-    cutoff: Fraction = Fraction(10)
-    field_name: str = "f2"
-    density: Fraction = Fraction(1, 2)
-    action_range: tuple = (Fraction(-2), Fraction(2))
-    length_range: tuple = (Fraction(1), Fraction(3))
-    slope_range: tuple = (Fraction(0), Fraction(0))
-    samples: tuple = DEFAULT_SAMPLES
+    __slots__ = ("seed", "n_pairs", "n_closed", "lattice_rank", "cutoff",
+                 "field_name", "density", "action_range", "length_range",
+                 "slope_range", "samples")
 
-    def __post_init__(self):
-        if self.n_pairs < 0 or self.n_closed < 0:
+    def __init__(self, seed: int = 0, n_pairs: int = 2, n_closed: int = 1,
+                 lattice_rank: int = 2, cutoff=Fraction(10), field_name: str = "f2",
+                 density=Fraction(1, 2), action_range: tuple = (Fraction(-2), Fraction(2)),
+                 length_range: tuple = (Fraction(1), Fraction(3)),
+                 slope_range: tuple = (Fraction(0), Fraction(0)),
+                 samples: tuple = DEFAULT_SAMPLES):
+        if n_pairs < 0 or n_closed < 0:
             raise InfeasibleSpec("generator counts must be nonnegative")
-        if self.n_pairs + self.n_closed == 0:
+        if n_pairs + n_closed == 0:
             raise InfeasibleSpec("need at least one generator")
-        if self.lattice_rank < 0:
+        if lattice_rank < 0:
             raise InfeasibleSpec("lattice rank must be nonnegative")
-        for lo, hi in (self.action_range, self.length_range, self.slope_range):
+        for lo, hi in (action_range, length_range, slope_range):
             if Fraction(lo) > Fraction(hi):
                 raise InfeasibleSpec("empty range in spec")
-        object.__setattr__(self, "cutoff", Fraction(self.cutoff))
-        object.__setattr__(self, "density", Fraction(self.density))
-        object.__setattr__(self, "samples",
-                           tuple(Fraction(s) for s in self.samples))
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n_pairs", n_pairs)
+        object.__setattr__(self, "n_closed", n_closed)
+        object.__setattr__(self, "lattice_rank", lattice_rank)
+        object.__setattr__(self, "cutoff", Fraction(cutoff))
+        object.__setattr__(self, "field_name", field_name)
+        object.__setattr__(self, "density", Fraction(density))
+        object.__setattr__(self, "action_range", action_range)
+        object.__setattr__(self, "length_range", length_range)
+        object.__setattr__(self, "slope_range", slope_range)
+        object.__setattr__(self, "samples", tuple(Fraction(s) for s in samples))
+
+    def __setattr__(self, *args):
+        raise AttributeError("ModelSpec is immutable")
 
 
 def _rand_frac(rng: random.Random, lo, hi, denom: int = 4) -> Fraction:
@@ -164,8 +168,11 @@ def gen_elementary(spec: ModelSpec) -> FilteredComplex:
                            tuple(gens), boundaries)
 
 
-def elementary_bars(cx: FilteredComplex, t) -> Barcode:
-    """The prescribed barcode of an elementary (unconjugated) output."""
+def elementary_bars(cx: FilteredComplex, t):
+    """The prescribed ``reduction.Barcode`` of an elementary (unconjugated)
+    output."""
+    from .reduction import Bar, Barcode
+
     t = Fraction(t)
     matrix = cx.boundary_matrix(cx.samples[0])  # family is s-independent
     bars = []
@@ -181,8 +188,6 @@ def elementary_bars(cx: FilteredComplex, t) -> Barcode:
         bars.append(Bar(birth, cx.action_at(col, t), cx.generator(row).degree))
         killed.add(row)
         killed.add(col)
-    from .series import INF
-
     for g in cx.generators:
         if g.name not in killed:
             bars.append(Bar(g.action_at(t), INF, g.degree))

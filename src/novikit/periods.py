@@ -10,7 +10,6 @@ finiteness of period sublevel sets is decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Tuple
 
@@ -25,7 +24,6 @@ def _as_fraction_vector(v: Iterable) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in v)
 
 
-@dataclass(frozen=True)
 class PeriodSystem:
     """Lattice Z^k with two rational period forms.
 
@@ -33,10 +31,7 @@ class PeriodSystem:
     inputs (they model rescaling) and merely flagged.
     """
 
-    rank: int
-    omega0: tuple[Fraction, ...]
-    omega1: tuple[Fraction, ...]
-    _pair_cache: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    __slots__ = ("rank", "omega0", "omega1", "_pair_cache")
 
     def __init__(self, rank: int, omega0: Iterable, omega1: Iterable):
         if rank < 0:
@@ -51,6 +46,9 @@ class PeriodSystem:
         object.__setattr__(self, "omega0", w0)
         object.__setattr__(self, "omega1", w1)
         object.__setattr__(self, "_pair_cache", {})
+
+    def __setattr__(self, *args):
+        raise AttributeError("PeriodSystem is immutable")
 
     @property
     def generic(self) -> bool:
@@ -90,18 +88,21 @@ class PeriodSystem:
         return hash((self.rank, self.omega0, self.omega1))
 
 
-@dataclass(frozen=True)
 class RaySupport:
     """The infinite exponent set {base + n*direction : n >= 0}."""
 
-    base: Exponent
-    direction: Exponent
+    __slots__ = ("base", "direction")
 
-    def __post_init__(self):
-        if len(self.base) != len(self.direction):
+    def __init__(self, base: Exponent, direction: Exponent):
+        if len(base) != len(direction):
             raise DimensionMismatch("base and direction lengths differ")
-        if all(c == 0 for c in self.direction):
+        if all(c == 0 for c in direction):
             raise ValueError("ray direction must be nonzero")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "direction", direction)
+
+    def __setattr__(self, *args):
+        raise AttributeError("RaySupport is immutable")
 
 
 def period_pair(sys: PeriodSystem, a: Exponent) -> tuple[Fraction, Fraction]:

@@ -19,7 +19,6 @@ lattice; see the package docs for the degenerate-kernel caveat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -31,7 +30,7 @@ from .complexes import (
     chain_sub,
     validate,
 )
-from .envelope import render_fraction
+from .fields import render_fraction
 from .periods import Exponent, exponent_sub
 from .series import (
     INF,
@@ -63,7 +62,6 @@ class NormalizationError(ValueError):
     pass
 
 
-@dataclass
 class ReductionOutcome:
     """Result of the cancellation iteration.
 
@@ -75,13 +73,20 @@ class ReductionOutcome:
     successive iterates, strictly increasing in the active order.
     """
 
-    kind: str
-    approximant: dict[str, NovikovElement]
-    residual: dict[str, NovikovElement]
-    trace: tuple[Rank2Value, ...]
-    combo: dict[str, NovikovElement]
-    stabilized: Fraction | None = None
-    axis: int = 1
+    __slots__ = ("kind", "approximant", "residual", "trace", "combo",
+                 "stabilized", "axis")
+
+    def __init__(self, kind: str, approximant: dict[str, NovikovElement],
+                 residual: dict[str, NovikovElement], trace: tuple[Rank2Value, ...],
+                 combo: dict[str, NovikovElement], stabilized: Fraction | None = None,
+                 axis: int = 1):
+        self.kind = kind
+        self.approximant = approximant
+        self.residual = residual
+        self.trace = trace
+        self.combo = combo
+        self.stabilized = stabilized
+        self.axis = axis
 
     @property
     def is_fixed_point(self) -> bool:
@@ -481,20 +486,31 @@ def best_approximation(columns, w: Chain, order=None, cutoff=None, *,
     return outcome.approximant, achieved
 
 
-@dataclass
 class DivergenceWitness:
     """A probe whose cancellation trace violates balanced divergence."""
 
-    probe: dict[str, NovikovElement]
-    trace: tuple[Rank2Value, ...]
-    axis: int
-    stabilized: Fraction
+    __slots__ = ("probe", "trace", "axis", "stabilized")
+
+    def __init__(self, probe: dict[str, NovikovElement],
+                 trace: tuple[Rank2Value, ...], axis: int, stabilized: Fraction):
+        self.probe = probe
+        self.trace = trace
+        self.axis = axis
+        self.stabilized = stabilized
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not DivergenceWitness:
+            return NotImplemented
+        return (self.probe, self.trace, self.axis, self.stabilized) == \
+            (other.probe, other.trace, other.axis, other.stabilized)
 
 
-@dataclass
 class DivergenceCheck:
-    passed: bool
-    witness: DivergenceWitness | None = None
+    __slots__ = ("passed", "witness")
+
+    def __init__(self, passed: bool, witness: DivergenceWitness | None = None):
+        self.passed = passed
+        self.witness = witness
 
     def __bool__(self) -> bool:
         return self.passed
@@ -654,21 +670,33 @@ def homology_ranks_at_cutoff(cx: FilteredComplex, s, mode: RingMode) -> tuple[di
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Bar:
-    birth: Fraction
-    death: object  # Fraction, or INF for an unbounded bar
-    degree: int
+    """A bar [birth, death) in one degree; ``death`` is a Fraction, or the
+    ``INF`` singleton for an unbounded bar, so that ``is_finite`` is an
+    identity test."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "birth", Fraction(self.birth))
-        if self.death == INF:
-            # The singleton, so that is_finite is an identity test.
-            object.__setattr__(self, "death", INF)
+    __slots__ = ("birth", "death", "degree")
+
+    def __init__(self, birth, death, degree: int):
+        birth = Fraction(birth)
+        if death == INF:
+            death = INF
         else:
-            object.__setattr__(self, "death", Fraction(self.death))
-            if not self.birth < self.death:
+            death = Fraction(death)
+            if not birth < death:
                 raise ValueError("finite bars need birth < death")
+        object.__setattr__(self, "birth", birth)
+        object.__setattr__(self, "death", death)
+        object.__setattr__(self, "degree", degree)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Bar is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Bar:
+            return NotImplemented
+        return (self.birth, self.death, self.degree) == \
+            (other.birth, other.death, other.degree)
 
     @property
     def is_finite(self) -> bool:
@@ -679,14 +707,18 @@ class Bar:
         return self.death - self.birth if self.is_finite else INF
 
 
-@dataclass(frozen=True)
 class Barcode:
-    bars: tuple[Bar, ...]
+    """Bars sorted by degree, birth and death, unbounded bars last."""
+
+    __slots__ = ("bars",)
 
     def __init__(self, bars):
         object.__setattr__(self, "bars", tuple(sorted(
             bars, key=lambda b: (b.degree, b.birth,
                                  (1, 0) if not b.is_finite else (0, b.death)))))
+
+    def __setattr__(self, *args):
+        raise AttributeError("Barcode is immutable")
 
     def finite(self) -> tuple[Bar, ...]:
         return tuple(b for b in self.bars if b.is_finite)
@@ -709,18 +741,6 @@ class Barcode:
             death = "inf" if not b.is_finite else render_fraction(b.death)
             rows.append(f"{b.degree},{render_fraction(b.birth)},{death}")
         return "\n".join(rows) + "\n"
-
-
-class _Collapsed:
-    """One-variable truncated series: value -> field coefficient."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = terms
-
-    def lead(self) -> Fraction:
-        return min(self.terms)
 
 
 def _collapse(entry: NovikovElement, t: Fraction, cutoff: Fraction) -> dict:

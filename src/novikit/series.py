@@ -23,7 +23,6 @@ pairs: plain lexicographic, and t-weighted lexicographic which compares
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -50,29 +49,38 @@ class RingMode(enum.Enum):
         return min(g0, g1) <= cutoff
 
 
-@dataclass(frozen=True)
 class Rank2Value:
     """A value of the rank-2 valuation: a pair of rationals or (+inf, +inf).
 
     The only admissible infinite value is the fully infinite one, attained
-    exactly by the zero element.
+    exactly by the zero element.  It stores the ``INF`` singleton, so that
+    ``is_infinite`` is an identity test.
     """
 
-    v0: object
-    v1: object
+    __slots__ = ("v0", "v1")
 
-    def __post_init__(self):
-        inf0 = self.v0 == INF
-        inf1 = self.v1 == INF
-        if inf0 != inf1:
+    def __init__(self, v0, v1):
+        inf0 = v0 == INF
+        if inf0 != (v1 == INF):
             raise ValueError("partially infinite valuation pair is forbidden")
-        if not inf0:
-            object.__setattr__(self, "v0", Fraction(self.v0))
-            object.__setattr__(self, "v1", Fraction(self.v1))
+        if inf0:
+            v0 = v1 = INF
+        else:
+            v0, v1 = Fraction(v0), Fraction(v1)
+        object.__setattr__(self, "v0", v0)
+        object.__setattr__(self, "v1", v1)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Rank2Value is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Rank2Value:
+            return NotImplemented
+        return self.v0 == other.v0 and self.v1 == other.v1
 
     @property
     def is_infinite(self) -> bool:
-        return self.v0 == INF
+        return self.v0 is INF
 
     def as_tuple(self):
         return (self.v0, self.v1)

@@ -176,16 +176,37 @@ class TestInternalLimits:
 
 
 class TestPerCommandWork:
+    @staticmethod
+    def _imports(argv):
+        """The modules a ``python -X importtime -m novikit`` run imports."""
+        code, _, err = run_cli(argv, module="novikit", python_flags=["-X", "importtime"])
+        assert code == 0, err
+        return {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+                if line.startswith("import time:")}
+
     def test_validate_and_barcode_import_only_what_they_run(self, model_file):
         for argv in (["validate", model_file], ["barcode", model_file, "--t", "1/2"]):
-            code, _, err = run_cli(argv, module="novikit",
-                                   python_flags=["-X", "importtime"])
-            assert code == 0
-            imported = {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
-                        if line.startswith("import time:")}
+            imported = self._imports(argv)
             assert "novikit.reduction" in imported
             assert not imported & {"novikit.invariants", "novikit.models",
                                    "concurrent.futures"}
+
+    @pytest.mark.parametrize("argv, envelope", [
+        (["validate", "{f}"], False),
+        (["barcode", "{f}", "--t", "1/2"], False),
+        (["beta", "{f}", "--t", "1/2"], True),
+        (["rho", "{f}", "--cycle", "z0", "--t", "1/2"], True),
+        (["scan", "{f}", "--cycle", "z0"], True),
+        (["gen", "--seed", "1"], False),
+    ], ids=["validate", "barcode", "beta", "rho", "scan", "gen"])
+    def test_no_command_imports_dataclasses_or_unrun_layers(self, line_file, argv,
+                                                            envelope):
+        imported = self._imports([a.format(f=line_file) for a in argv])
+        assert not imported & {"dataclasses", "inspect"}
+        assert ("novikit.envelope" in imported) is envelope
+        if argv[0] == "gen":
+            assert "novikit.models" in imported
+            assert "novikit.reduction" not in imported
 
     def test_import_novikit_loads_no_submodule(self):
         code = ("import sys, novikit; "
@@ -206,11 +227,11 @@ class TestPerCommandWork:
 
     @staticmethod
     def _count_checks(monkeypatch):
-        import novikit.cli
+        import novikit.reduction
 
         calls = []
-        inner = novikit.cli.floer_divergence_check
-        monkeypatch.setattr(novikit.cli, "floer_divergence_check",
+        inner = novikit.reduction.floer_divergence_check
+        monkeypatch.setattr(novikit.reduction, "floer_divergence_check",
                             lambda *a, **k: calls.append(1) or inner(*a, **k))
         return calls
 

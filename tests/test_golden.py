@@ -21,6 +21,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from novikit.cli import main
+from test_cli import _mutate
 
 CORPUS = Path(__file__).with_name("golden") / "cli.json"
 DIR = "{dir}"  # stands for the directory of the files in recorded argv and output
@@ -94,16 +95,6 @@ MALFORMED = (
 MALFORMED_COMMANDS = (["validate", "{f}"], ["barcode", "{f}", "--t", "1/2"])
 
 
-def _mutate(text, prefix, replacement):
-    lines = text.splitlines()
-    if prefix is None:
-        lines.append(replacement)
-    else:
-        idx = next(i for i, line in enumerate(lines) if line.startswith(prefix))
-        lines[idx] = replacement
-    return "\n".join(lines) + "\n"
-
-
 def _call(argv, directory):
     argv = [a.replace(DIR, directory) for a in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -132,8 +123,8 @@ def replay(directory: str):
             argv = [a.format(f=f"{DIR}/{name}", cycle=cycle) for a in cmd]
             records.append(_call(argv, directory))
     for name, base, prefix, replacement in MALFORMED:
-        Path(directory, name).write_text(_mutate(texts[base], prefix, replacement),
-                                         encoding="utf-8")
+        text, _ = _mutate(texts[base], prefix, replacement)
+        Path(directory, name).write_text(text, encoding="utf-8")
         for cmd in MALFORMED_COMMANDS:
             records.append(_call([a.format(f=f"{DIR}/{name}") for a in cmd], directory))
     return records

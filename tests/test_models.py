@@ -231,3 +231,21 @@ class TestLineFamily:
         for t in cx.samples:
             assert report.curve(t) == rho(cx, cycle, t).value
         assert report.usc_at_zero and report.lsc_at_zero
+
+
+def test_value_classes_refuse_assignment():
+    from novikit import PiecewiseAffine, PointCloud, RaySupport, Rank2Value
+
+    spec = ModelSpec(seed=1, n_pairs=2, lattice_rank=0)
+    base = gen_elementary(spec)
+    cx = line_family(base, [F(0)] * len(base.generators))
+    barcode = elementary_bars(cx, 0)
+    for value, name in [
+        (spec, "seed"), (cx, "cutoff"), (cx.system, "rank"),
+        (cx.generators[0], "action0"), (cx.continuations[0], "shift1"),
+        (barcode, "bars"), (barcode.bars[0], "death"), (Rank2Value(0, 1), "v0"),
+        (PiecewiseAffine((0, 1), ((0, 1),)), "knots"), (PointCloud([(0, 1)]), "points"),
+        (RaySupport((0,), (1,)), "base"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
