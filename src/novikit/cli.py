@@ -93,8 +93,10 @@ def cmd_validate(args) -> int:
     cx = _load(args.path, validate_first=False)
     samples = cx.samples
     if args.grid and args.grid < len(samples):
-        step = (len(samples) - 1) / max(1, args.grid - 1)
-        picked = sorted({samples[round(i * step)] for i in range(args.grid)})
+        # Evenly spaced indices, rounded exactly (half to even).
+        last, span = len(samples) - 1, max(1, args.grid - 1)
+        picked = sorted({samples[round(Fraction(i * last, span))]
+                         for i in range(args.grid)})
     else:
         picked = samples
     report = validate(cx, picked)

@@ -20,6 +20,7 @@ lattice; see the package docs for the degenerate-kernel caveat.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .complexes import (
@@ -743,192 +744,174 @@ class Barcode:
         return "\n".join(rows) + "\n"
 
 
-def _collapse(entry: NovikovElement, t: Fraction, cutoff: Fraction) -> dict:
-    field = entry.field
-    out: dict = {}
-    for a, c in entry.terms.items():
-        g0, g1 = entry.system.pair(a)
-        v = (1 - t) * g0 + t * g1
+def _scaled_slice(cx: FilteredComplex, t: Fraction):
+    """Slice t scaled to ints: ``(scale, cutoff, levels, columns)``.
+
+    ``scale`` is the lcm of the denominators of the cutoff, of every
+    eta_i(t) and of every collapsed value (1-t)*g0 + t*g1 of a boundary
+    exponent, so each of them is an int over ``scale``: the cutoff, the
+    generator levels ``levels[i]`` and every value V below.  A vector is
+    a dict from ``(V - levels[row], row, V)`` to the coefficient of the
+    term T^V at generator ``cx.generators[row]``, whose filtration level
+    is ``levels[row] - V``; its ``min`` is the peak: highest level, then
+    lowest row, then lowest value.  Terms above the cutoff are dropped.
+    ``columns[i]`` is the boundary of generator i as such a vector.
+    """
+    matrix = cx.boundary_matrix(t)
+    pair = cx.system.pair
+    collapsed: dict = {}
+    for column in matrix.values():
+        for entry in column.values():
+            for a in entry.terms:
+                if a not in collapsed:
+                    g0, g1 = pair(a)
+                    collapsed[a] = (1 - t) * g0 + t * g1
+    eta = [g.action_at(t) for g in cx.generators]
+    scale = lcm(cx.cutoff.denominator, *(x.denominator for x in eta),
+                *(v.denominator for v in collapsed.values()))
+
+    def up(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    cutoff = up(cx.cutoff)
+    levels = [up(x) for x in eta]
+    value = {a: up(v) for a, v in collapsed.items()}
+    field = cx.coefficient_field
+    index = {g.name: i for i, g in enumerate(cx.generators)}
+    columns = []
+    for g in cx.generators:
+        vec: dict = {}
+        for name, entry in matrix.get(g.name, {}).items():
+            row = index[name]
+            for a, c in entry.terms.items():
+                v = value[a]
+                if v > cutoff:
+                    continue
+                key = (v - levels[row], row, v)
+                c = field.add(vec.get(key, field.zero), c)
+                if field.is_zero(c):
+                    del vec[key]
+                else:
+                    vec[key] = c
+        columns.append(vec)
+    return scale, cutoff, levels, columns
+
+
+def _sub_shifted(target: dict, source: dict, factor, shift: int, field,
+                 cutoff: int) -> None:
+    """``target -= factor * T^shift * source`` in place, above the cutoff
+    dropped; a shift adds to the first and last part of every key."""
+    zero, sub, mul, is_zero = field.zero, field.sub, field.mul, field.is_zero
+    for (rise, row, v), c in source.items():
+        v += shift
         if v > cutoff:
             continue
-        s = field.add(out.get(v, field.zero), c)
-        if field.is_zero(s):
-            out.pop(v, None)
+        key = (rise + shift, row, v)
+        x = sub(target.get(key, zero), mul(factor, c))
+        if is_zero(x):
+            del target[key]
         else:
-            out[v] = s
-    return out
+            target[key] = x
 
 
-def _c_sub_scaled(field, target: dict, source: dict, factor, shift: Fraction,
-                  cutoff: Fraction) -> dict:
-    """target - factor * T^shift * source, truncated."""
-    out = dict(target)
-    for v, c in source.items():
-        nv = v + shift
-        if nv > cutoff:
+def _settle(vec: dict, combo, level, name: int, pivots: dict, field,
+            cutoff: int):
+    """Reduce ``vec`` until its peak row holds no pivot, then register it.
+
+    ``combo`` is the preimage of ``vec``, of level ``level``, or None for
+    a vector reduced without one (a cycle); pivots map a row to
+    ``(peak, vec, combo, level, name)``.  Returns None once a vector is
+    registered, else the ``(combo, level, name)`` of the vector that
+    reduced to zero: the original one or a pivot it displaced.
+    """
+    while vec:
+        peak = min(vec)
+        held = pivots.get(peak[1])
+        if held is None:
+            pivots[peak[1]] = (peak, vec, combo, level, name)
+            return None
+        ppeak, pvec, pcombo, plevel, pname = held
+        shift = peak[2] - ppeak[2]
+        if combo is not None and plevel - shift > level:
+            # The shifted pivot's preimage would rise above ours: swap.
+            pivots[peak[1]] = (peak, vec, combo, level, name)
+            vec, combo, level, name = pvec, pcombo, plevel, pname
             continue
-        s = field.sub(out.get(nv, field.zero), field.mul(factor, c))
-        if field.is_zero(s):
-            out.pop(nv, None)
-        else:
-            out[nv] = s
-    return out
-
-
-class _SliceReducer:
-    """Column reduction of one parameter slice over the collapsed field."""
-
-    def __init__(self, cx: FilteredComplex, t: Fraction):
-        self.cx = cx
-        self.t = t
-        self.field = cx.coefficient_field
-        self.cutoff = cx.cutoff
-        self.eta = {g.name: g.action_at(t) for g in cx.generators}
-        self.degree = {g.name: g.degree for g in cx.generators}
-        self.index = {g.name: i for i, g in enumerate(cx.generators)}
-        matrix = cx.boundary_matrix(t)
-        self.columns: dict[str, dict[str, dict]] = {}
-        for g in cx.generators:
-            col = {}
-            for row, entry in matrix.get(g.name, {}).items():
-                series = _collapse(entry, t, self.cutoff)
-                if series:
-                    col[row] = series
-            self.columns[g.name] = col
-
-    def vec_peak(self, vec: dict[str, dict]):
-        """Best (filtration, row-order, value) position of a vector, or None."""
-        best = None
-        for row, series in vec.items():
-            for v in series:
-                filt = self.eta[row] - v
-                key = (-filt, self.index[row], v)
-                if best is None or key < best[0]:
-                    best = (key, row, v)
-        if best is None:
-            return None
-        return best[1], best[2]
-
-    def vec_level(self, vec: dict[str, dict]):
-        peak = self.vec_peak(vec)
-        if peak is None:
-            return None
-        row, v = peak
-        return self.eta[row] - v
-
-    def reduce_against(self, vec, combo, pivots):
-        """Cancel the peak while a registered pivot covers its row."""
-        while vec:
-            peak = self.vec_peak(vec)
-            row, v = peak
-            if row not in pivots:
-                return vec, combo, (row, v)
-            pvec, pcombo = pivots[row]
-            prow, pv = self.vec_peak(pvec)
-            shift = v - pv
-            factor = self.field.div(vec[row][v], pvec[prow][pv])
-            vec = self._vec_sub(vec, pvec, factor, shift)
-            combo = self._vec_sub(combo, pcombo, factor, shift)
-        return vec, combo, None
-
-    def _vec_sub(self, target, source, factor, shift):
-        out = {k: dict(vv) for k, vv in target.items()}
-        for row, series in source.items():
-            cur = out.get(row, {})
-            cur = _c_sub_scaled(self.field, cur, series, factor, shift, self.cutoff)
-            if cur:
-                out[row] = cur
-            else:
-                out.pop(row, None)
-        return out
-
-    def chain_level_of_combo(self, combo) -> Fraction:
-        level = self.vec_level(combo)
-        if level is None:
-            raise ValueError("empty combination")
-        return level
+        factor = field.div(vec[peak], pvec[ppeak])
+        _sub_shifted(vec, pvec, factor, shift, field, cutoff)
+        if combo is not None:
+            _sub_shifted(combo, pcombo, factor, shift, field, cutoff)
+            if plevel - shift == level:  # a tie may cancel the top terms
+                level = -min(combo)[0]
+    return combo, level, name
 
 
 def persistence_barcode(cx: FilteredComplex, t, *, prevalidated: bool = False) -> Barcode:
     """Barcode of the filtration-filtered slice at parameter t.
 
-    Column reduction over the working field with exponent-truncated
-    coefficients, processing columns in increasing filtration of their own
-    generator; among equal levels, generator order breaks ties.
+    The slice is scaled to ints once (:func:`_scaled_slice`).  Degree by
+    degree, each generator's boundary v is reduced, in increasing level
+    of the generator (generator order breaks ties), together with its
+    preimage c (v = dc, starting as the generator itself).  A vector is
+    cancelled at its peak by the pivot registered at the peak's row,
+    shifted by s, the difference of the two peak values; the pivot's
+    preimage then sits at level l(c_p) - s.
+
+    Swap rule: when that level would exceed the preimage level of the
+    vector being reduced, the vector takes the pivot's place, and the old
+    pivot is reduced instead (against the new one, whose shifted preimage
+    then lies below its own).  Invariant: no cancellation subtracts a
+    shifted preimage that lies higher than the preimage it changes, so no
+    preimage level ever rises, the pivots' vectors peak at distinct rows,
+    and each row keeps the shortest bar l(c) - l(v) met there.  Bars are
+    read off the final pivots as [l(v), l(c)), the bars of Usher-Zhang's
+    singular value decomposition over the Novikov field ("Persistent
+    homology and Floer-Novikov theory", Geom. Topol. 20, 2016); that the
+    swap reaches their orthogonal bases is checked against the prescribed
+    bars of ``models.elementary_bars``, not proved.
+
+    Termination: a cancellation strictly raises the reduced vector's peak
+    key, whose level part is an int bounded by the cutoff; a swap strictly
+    shortens the bar held at its row, an int that stays positive because
+    l(dc) < l(c) on a valid slice; and a row is filled from empty at most
+    once.  So there are finitely many swaps and finitely many
+    cancellations between two of them, with no iteration cap.
+
+    Cycles (vectors reduced to zero, displaced pivots included) then go,
+    highest level first, through the same routine against the next
+    degree's pivots and the survivors so far; each survivor is an
+    unbounded bar born at its peak generator's action, since such births
+    are defined only up to the period value group.
     """
     t = Fraction(t)
     if not prevalidated:
         report = validate(cx, [t])
         if not report:
             raise ValueError(f"complex fails validation: {report.violations[:3]}")
-    red = _SliceReducer(cx, t)
-    field = red.field
-    one = field.one
+    field = cx.coefficient_field
+    gens = cx.generators
+    scale, cutoff, levels, columns = _scaled_slice(cx, t)
 
-    degrees = sorted({g.degree for g in cx.generators})
-    by_degree = {d: [g.name for g in cx.generators if g.degree == d] for d in degrees}
+    pivots: dict[int, dict] = {}
+    cycles: dict[int, list] = {}
+    for d in sorted({g.degree for g in gens}):
+        pivots[d], cycles[d] = {}, []
+        for i in sorted((i for i, g in enumerate(gens) if g.degree == d),
+                        key=lambda i: (levels[i], i)):
+            left = _settle(columns[i], {(-levels[i], i, 0): field.one}, levels[i],
+                           i, pivots[d], field, cutoff)
+            if left is not None:
+                cycles[d].append(left)
 
     bars: list[Bar] = []
-    pivots_by_degree: dict[int, dict] = {}
-    cycles_by_degree: dict[int, list] = {}
-
-    for d in degrees:
-        pivots: dict[str, tuple] = {}
-        cycles: list = []
-        names = sorted(by_degree[d], key=lambda n: (red.eta[n], red.index[n]))
-        for name in names:
-            vec = {r: dict(s) for r, s in red.columns[name].items()}
-            combo = {name: {Fraction(0): one}}
-            vec, combo, spot = red.reduce_against(vec, combo, pivots)
-            if spot is None:
-                cycles.append((name, combo))
-            else:
-                row, v = spot
-                pivots[row] = (vec, combo)
-                birth = red.eta[row] - v
-                death = red.chain_level_of_combo(combo)
-                bars.append(Bar(birth, death, red.degree[row]))
-        pivots_by_degree[d] = pivots
-        cycles_by_degree[d] = cycles
-
-    # Surviving homology classes per degree: cycles not killed from above.
-    for d in degrees:
-        cycles = cycles_by_degree.get(d, [])
-        if not cycles:
-            continue
-        killers = pivots_by_degree.get(d + 1, {})
-        survivors: dict[str, tuple] = {}
-        # Highest anchors first: each one greedily reduces through boundary
-        # pivots and earlier survivors down to its minimal class level, so
-        # births come out at spectral values rather than lattice translates.
-        ordered = sorted(cycles, key=lambda item: (-red.chain_level_of_combo(item[1]),
-                                                   red.index[item[0]]))
-        for name, combo in ordered:
-            vec = {r: dict(s) for r, s in combo.items()}
-            while vec:
-                peak = red.vec_peak(vec)
-                row, v = peak
-                if row in killers:
-                    pvec, _ = killers[row]
-                    prow, pv = red.vec_peak(pvec)
-                    shift = v - pv
-                    factor = field.div(vec[row][v], pvec[prow][pv])
-                    vec = red._vec_sub(vec, pvec, factor, shift)
-                    continue
-                if row in survivors:
-                    pvec = survivors[row][0]
-                    prow, pv = red.vec_peak(pvec)
-                    shift = v - pv
-                    factor = field.div(vec[row][v], pvec[prow][pv])
-                    vec = red._vec_sub(vec, pvec, factor, shift)
-                    continue
-                break
-            if not vec:
-                continue
-            row, v = red.vec_peak(vec)
-            survivors[row] = (vec, name)
-            # Births of unbounded bars are only defined up to the period
-            # value group; normalize the class representative so its peak
-            # value is zero, anchoring the birth at the peak generator.
-            bars.append(Bar(red.eta[row], INF, d))
+    for d in pivots:
+        for peak, _, _, level, _ in pivots[d].values():
+            bars.append(Bar(Fraction(-peak[0], scale), Fraction(level, scale),
+                            gens[peak[1]].degree))
+        table = dict(pivots.get(d + 1, {}))
+        for combo, _, name in sorted(cycles[d], key=lambda c: (-c[1], c[2])):
+            _settle(combo, None, None, name, table, field, cutoff)
+        for peak, _, combo, _, _ in table.values():
+            if combo is None:
+                bars.append(Bar(Fraction(levels[peak[1]], scale), INF, d))
     return Barcode(bars)

@@ -87,6 +87,29 @@ class TestValidate:
         code, out, _ = run_cli(["validate", model_file, "--grid", "2"])
         assert code == 0 and "2 samples" in out
 
+    @pytest.mark.parametrize("n_samples,grid,indices", [
+        # 7 * 29/14 is 14.5 exactly, which rounds to 14; a float step
+        # makes it 14.500000000000002 and picks 15
+        (30, 15, [0, 2, 4, 6, 8, 10, 12, 14, 17, 19, 21, 23, 25, 27, 29]),
+        (5, 2, [0, 4]), (5, 3, [0, 2, 4]), (5, 4, [0, 1, 3, 4]),
+    ])
+    def test_grid_picks_exact_indices(self, monkeypatch, capsys, tmp_path,
+                                      n_samples, grid, indices):
+        import novikit.cli
+
+        samples = [F(i, n_samples - 1) for i in range(n_samples)]
+        cx = gen_elementary(ModelSpec(seed=1, n_pairs=1, n_closed=0,
+                                      lattice_rank=0, samples=samples))
+        path = tmp_path / "grid.nvk"
+        path.write_text(emit(cx))
+        picked = []
+        inner = novikit.cli.validate
+        monkeypatch.setattr(novikit.cli, "validate",
+                            lambda cx, grid: picked.extend(grid) or inner(cx, grid))
+        assert main(["validate", str(path), "--grid", str(grid)]) == 0
+        assert picked == [samples[i] for i in indices]
+        assert capsys.readouterr().out == f"OK {grid} samples validated\n"
+
 
 def _mutate(text, prefix, replacement):
     """The text with its first line starting ``prefix`` replaced (appended

@@ -4,9 +4,9 @@
 files they write, and for every command in ``COMMANDS`` and every
 malformed file in ``MALFORMED``, what ``novikit`` printed and returned.
 The test replays all of it in-process through ``cli.main`` and compares
-byte for byte.  The recorded outputs include the known wrong answers
-(``bench/NOTES.md``, seed defects (a) and (b)): a change that fixes one
-updates the entries it fixes and says which.
+byte for byte.  The recorded outputs include the known wrong answer
+(``bench/NOTES.md``, seed defect (a)): a change that fixes it updates the
+entries it fixes and says which, as the fix of seed defect (b) did.
 
 Rewrite the corpus from the current code with
 
@@ -30,8 +30,10 @@ DIR = "{dir}"  # stands for the directory of the files in recorded argv and outp
 # and 1/4, a tilted line family, the pathological model, and the two bases of
 # the malformed files (the same calls as the fixtures of tests/test_cli.py).
 # Seed defect (a), a false FAIL divergence, shows in r5-f2-2, r8-q-2 and
-# r8-q-4; seed defect (b), barcodes that differ from the prescribed ones, in
-# the barcodes of r4-f2-2, r5-f2-2 at t = 1/4, r6-q-2, r8-f2-4 and r8-q-4.
+# r8-q-4.  Seed defect (b), barcodes that differed from the prescribed ones,
+# is fixed: the 12 barcodes it got wrong (r4-f2-2, r6-q-2 and r8-q-4 at
+# every t, r5-f2-2 at t = 1/4, r8-f2-4 at t = 1/4 and 3/4) now equal
+# models.elementary_bars of the unconjugated model.
 FILES = {
     "base-random.nvk": ["gen", "--seed", "4", "--model", "random"],
     "base-line.nvk": ["gen", "--seed", "1", "--model", "line", "--pairs", "2",

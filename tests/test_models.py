@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,26 @@ class TestGenRandom:
         b = gen_random(spec)
         assert a.boundaries == b.boundaries
 
+    # (pairs, field, density) -> seed.  Each seed is the first one (from 0)
+    # where the reduction without the swap rule got a slice wrong; seed 0
+    # where none of seeds 0-39 did.
+    SWEEP_SEEDS = {
+        (2, "f2", F(1, 2)): 0, (2, "f2", F(1, 4)): 0,
+        (2, "q", F(1, 2)): 14, (2, "q", F(1, 4)): 14,
+        (3, "f2", F(1, 2)): 1, (3, "f2", F(1, 4)): 1,
+        (3, "q", F(1, 2)): 21, (3, "q", F(1, 4)): 18,
+        (4, "f2", F(1, 2)): 7, (4, "f2", F(1, 4)): 2,
+        (4, "q", F(1, 2)): 19, (4, "q", F(1, 4)): 0,
+        (5, "f2", F(1, 2)): 2, (5, "f2", F(1, 4)): 8,
+        (5, "q", F(1, 2)): 0, (5, "q", F(1, 4)): 1,
+        (6, "f2", F(1, 2)): 2, (6, "f2", F(1, 4)): 0,
+        (6, "q", F(1, 2)): 1, (6, "q", F(1, 4)): 0,
+        (7, "f2", F(1, 2)): 0, (7, "f2", F(1, 4)): 1,
+        (7, "q", F(1, 2)): 1, (7, "q", F(1, 4)): 2,
+        (8, "f2", F(1, 2)): 0, (8, "f2", F(1, 4)): 3,
+        (8, "q", F(1, 2)): 0, (8, "q", F(1, 4)): 3,
+    }
+
     def test_barcode_invariant_under_conjugation(self):
         for seed in range(8):
             spec = ModelSpec(seed=seed, n_pairs=2, n_closed=1, density=F(3, 4))
@@ -87,6 +108,31 @@ class TestGenRandom:
             for t in (F(0), F(1, 2), F(1)):
                 assert bars_key(persistence_barcode(twisted, t, prevalidated=True)) \
                     == bars_key(elementary_bars(base, t))
+        # The oracle sweep: every sample of a model per (pairs, field,
+        # density), on seeds that include the conjugated models whose
+        # finite bars came out wrong before the swap rule.
+        wrong = []
+        for (pairs, field, density), seed in self.SWEEP_SEEDS.items():
+            spec = ModelSpec(seed=seed, n_pairs=pairs, n_closed=2,
+                             field_name=field, density=density)
+            base = gen_elementary(spec)
+            twisted = gen_random(spec)
+            for t in twisted.samples:
+                if bars_key(persistence_barcode(twisted, t, prevalidated=True)) \
+                        != bars_key(elementary_bars(base, t)):
+                    wrong.append((pairs, field, density, seed, t))
+        assert wrong == []
+
+    def test_barcode_ceiling_82_generators(self):
+        spec = ModelSpec(seed=3, n_pairs=40, n_closed=2, cutoff=10, density=F(1, 4))
+        base = gen_elementary(spec)
+        twisted = gen_random(spec)
+        assert len(twisted.generators) == 82
+        start = time.perf_counter()
+        got = persistence_barcode(twisted, F(1, 2), prevalidated=True)
+        elapsed = time.perf_counter() - start
+        assert bars_key(got) == bars_key(elementary_bars(base, F(1, 2)))
+        assert elapsed < 2.0, f"82-generator barcode took {elapsed:.2f} s"
 
     def test_two_basis_seeds_same_bars_different_matrices(self):
         spec = ModelSpec(seed=5, n_pairs=2, n_closed=0, density=1)
