@@ -97,7 +97,7 @@ class FilteredComplex:
     """Graded free module with a sampled family of boundary operators."""
 
     __slots__ = ("system", "coefficient_field", "mode", "cutoff", "generators",
-                 "boundaries", "continuations")
+                 "boundaries", "continuations", "_by_name")
 
     def __init__(self, system: PeriodSystem, coefficient_field, mode: RingMode,
                  cutoff, generators: Iterable[CappedGenerator],
@@ -105,8 +105,8 @@ class FilteredComplex:
                  continuations: Iterable[ContinuationData] = ()):
         cutoff = Fraction(cutoff)
         generators = tuple(generators)
-        names = [g.name for g in generators]
-        if len(set(names)) != len(names):
+        by_name = {g.name: g for g in generators}
+        if len(by_name) != len(generators):
             raise StructureError("generator names must be unique")
         bd = {Fraction(s): {c: dict(col) for c, col in m.items()}
               for s, m in boundaries.items()}
@@ -117,6 +117,7 @@ class FilteredComplex:
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "boundaries", bd)
         object.__setattr__(self, "continuations", tuple(continuations))
+        object.__setattr__(self, "_by_name", by_name)
 
     def __setattr__(self, *args):
         raise AttributeError("FilteredComplex is immutable")
@@ -126,10 +127,10 @@ class FilteredComplex:
         return tuple(g.name for g in self.generators)
 
     def generator(self, name: str) -> CappedGenerator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise StructureError(f"unknown generator {name!r}")
+        g = self._by_name.get(name)
+        if g is None:
+            raise StructureError(f"unknown generator {name!r}")
+        return g
 
     @property
     def samples(self) -> tuple[Fraction, ...]:
@@ -326,22 +327,15 @@ def _identity_matrix(cx: FilteredComplex) -> dict[str, dict[str, NovikovElement]
     return {g: {g: one} for g in cx.generator_names}
 
 
-def _matrix_sub(cx: FilteredComplex, a: Matrix, b: Matrix) -> dict[str, dict[str, NovikovElement]]:
-    out: dict[str, dict[str, NovikovElement]] = {c: dict(col) for c, col in a.items()}
-    for col, column in b.items():
-        acc = out.setdefault(col, {})
-        for row, entry in column.items():
-            acc[row] = acc[row] - entry if row in acc else -entry
-    return {c: chain_cleanup(col) for c, col in out.items() if chain_cleanup(col)}
-
-
-def _matrix_add(cx: FilteredComplex, a: Matrix, b: Matrix) -> dict[str, dict[str, NovikovElement]]:
-    out: dict[str, dict[str, NovikovElement]] = {c: dict(col) for c, col in a.items()}
-    for col, column in b.items():
-        acc = out.setdefault(col, {})
-        for row, entry in column.items():
-            acc[row] = acc[row] + entry if row in acc else entry
-    return {c: chain_cleanup(col) for c, col in out.items() if chain_cleanup(col)}
+def _matrix_combine(a: Matrix, b: Matrix, combine) -> dict[str, dict[str, NovikovElement]]:
+    """Column by column ``combine(a, b)`` (``chain_add`` or ``chain_sub``),
+    zero columns dropped."""
+    out: dict[str, dict[str, NovikovElement]] = {}
+    for c in [*a, *(c for c in b if c not in a)]:
+        col = combine(a.get(c, {}), b.get(c, {}))
+        if col:
+            out[c] = col
+    return out
 
 
 def verify_continuation(cx_s: FilteredComplex, cx_t: FilteredComplex,
@@ -359,26 +353,26 @@ def verify_continuation(cx_s: FilteredComplex, cx_t: FilteredComplex,
 
     lhs = compose_matrices(cx_s, data.phi, d_s)
     rhs = compose_matrices(cx_s, d_t, data.phi)
-    delta = _matrix_sub(cx_s, lhs, rhs)
+    delta = _matrix_combine(lhs, rhs, chain_sub)
     for col in sorted(delta):
         violations.append(("chain-map-phi", col))
     lhs = compose_matrices(cx_s, data.psi, d_t)
     rhs = compose_matrices(cx_s, d_s, data.psi)
-    delta = _matrix_sub(cx_s, lhs, rhs)
+    delta = _matrix_combine(lhs, rhs, chain_sub)
     for col in sorted(delta):
         violations.append(("chain-map-psi", col))
 
     ident = _identity_matrix(cx_s)
     psiphi = compose_matrices(cx_s, data.psi, data.phi)
-    homo = _matrix_add(cx_s, compose_matrices(cx_s, d_s, data.k_s),
-                       compose_matrices(cx_s, data.k_s, d_s))
-    delta = _matrix_sub(cx_s, _matrix_sub(cx_s, psiphi, ident), homo)
+    homo = _matrix_combine(compose_matrices(cx_s, d_s, data.k_s),
+                           compose_matrices(cx_s, data.k_s, d_s), chain_add)
+    delta = _matrix_combine(_matrix_combine(psiphi, ident, chain_sub), homo, chain_sub)
     for col in sorted(delta):
         violations.append(("homotopy-s", col))
     phipsi = compose_matrices(cx_s, data.phi, data.psi)
-    homo = _matrix_add(cx_s, compose_matrices(cx_s, d_t, data.k_t),
-                       compose_matrices(cx_s, data.k_t, d_t))
-    delta = _matrix_sub(cx_s, _matrix_sub(cx_s, phipsi, ident), homo)
+    homo = _matrix_combine(compose_matrices(cx_s, d_t, data.k_t),
+                           compose_matrices(cx_s, data.k_t, d_t), chain_add)
+    delta = _matrix_combine(_matrix_combine(phipsi, ident, chain_sub), homo, chain_sub)
     for col in sorted(delta):
         violations.append(("homotopy-t", col))
 

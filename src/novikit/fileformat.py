@@ -103,7 +103,7 @@ def _parse_terms(raw: str, cx_info, line_no: int) -> NovikovElement:
             raise ParseError(line_no, f"term {chunk!r} needs 'coeff exponent'")
         try:
             coeff = field.parse(bits[0])
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ParseError(line_no, f"bad coefficient {bits[0]!r}") from None
         exp = _parse_exponent(bits[1], system.rank, line_no)
         terms[exp] = field.add(terms.get(exp, field.zero), coeff)
@@ -130,15 +130,7 @@ def emit(cx: FilteredComplex) -> str:
     for s in cx.samples:
         out.append("")
         out.append(f"[boundary s={render_fraction(s)}]")
-        matrix = cx.boundaries[s]
-        rows = []
-        for col in sorted(matrix):
-            for row in sorted(matrix[col]):
-                entry = matrix[col][row]
-                if not entry.is_zero():
-                    rows.append((row, col, entry))
-        for row, col, entry in sorted(rows, key=lambda r: (r[0], r[1])):
-            out.append(f"{row} {col} : {_render_terms(entry)}")
+        out.extend(_entry_lines("", cx.boundaries[s]))
     for data in sorted(cx.continuations, key=lambda d: (d.s_from, d.s_to)):
         out.append("")
         out.append(f"[continuation from={render_fraction(data.s_from)} "
@@ -146,16 +138,16 @@ def emit(cx: FilteredComplex) -> str:
         out.append(f"shift1 = {render_fraction(data.shift1)}")
         out.append(f"shift2 = {render_fraction(data.shift2)}")
         for key, matrix in zip(_MAP_KEYS, (data.phi, data.psi, data.k_s, data.k_t)):
-            rows = []
-            for col in sorted(matrix):
-                for row in sorted(matrix[col]):
-                    entry = matrix[col][row]
-                    if not entry.is_zero():
-                        rows.append((row, col, entry))
-            for row, col, entry in sorted(rows, key=lambda r: (r[0], r[1])):
-                out.append(f"{key} {row} {col} : {_render_terms(entry)}")
+            out.extend(_entry_lines(f"{key} ", matrix))
     out.append("")
     return "\n".join(out)
+
+
+def _entry_lines(prefix: str, matrix) -> list[str]:
+    """``{prefix}row col : terms`` for each nonzero entry, by (row, col)."""
+    return [f"{prefix}{row} {col} : {_render_terms(matrix[col][row])}"
+            for row, col in sorted((row, col) for col in matrix for row in matrix[col])
+            if not matrix[col][row].is_zero()]
 
 
 class _Parser:

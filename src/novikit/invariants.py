@@ -100,8 +100,7 @@ def _rho_against_matrix(cx: FilteredComplex, matrix, cycle: Chain, t: Fraction,
     columns = _boundary_columns_into_degree(cx, matrix, degree)
     order = TWeightedOrder(t)
     offsets = _action_offsets(cx)
-    u, achieved = best_approximation(columns, cycle, order, cutoff,
-                                     offsets=offsets, require_normalized=False)
+    u, achieved = best_approximation(columns, cycle, order, cutoff, offsets=offsets)
     witness = chain_sub(cycle, u)
     if chain_is_zero(witness):
         return SpectralResult(NEG_INF, {}, u, degenerate=True)
@@ -455,9 +454,7 @@ def _pullback_level(cx, columns, witness_t, witness_0, cutoff):
     diff = chain_sub(witness_t, witness_0)
     if chain_is_zero(diff):
         return Fraction(0)
-    outcome = fixed_point(columns, diff, None, cutoff,
-                          offsets=_action_offsets(cx),
-                          require_normalized=False)
+    outcome = fixed_point(columns, diff, None, cutoff, offsets=_action_offsets(cx))
     if outcome.is_fixed_point and chain_is_zero(outcome.residual):
         gamma = dict(outcome.combo)
         return ell(cx, gamma, 0) if gamma else Fraction(0)

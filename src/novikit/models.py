@@ -24,7 +24,8 @@ from .complexes import (
     CappedGenerator,
     ContinuationData,
     FilteredComplex,
-    _matrix_add,
+    _matrix_combine,
+    chain_add,
     chain_cleanup,
     compose_matrices,
     validate,
@@ -214,7 +215,7 @@ def _conjugators(spec: ModelSpec, cx: FilteredComplex, basis_seed: int):
             n_matrix.setdefault(col, {})[row] = entry
 
     ident = {n: {n: one} for n in names}
-    p = _matrix_add(cx, ident, n_matrix)
+    p = _matrix_combine(ident, n_matrix, chain_add)
     # (I + N)^-1 = I - N + N^2 - ... ; N is nilpotent (strictly triangular).
     inv = {n: {n: one} for n in names}
     power = {c: dict(col) for c, col in n_matrix.items()}
@@ -224,7 +225,7 @@ def _conjugators(spec: ModelSpec, cx: FilteredComplex, basis_seed: int):
             break
         signed = {c: {r: (e if sign > 0 else -e) for r, e in col.items()}
                   for c, col in power.items()}
-        inv = _matrix_add(cx, inv, signed)
+        inv = _matrix_combine(inv, signed, chain_add)
         power = compose_matrices(cx, n_matrix, power)
         sign = -sign
     return p, inv

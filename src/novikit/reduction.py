@@ -14,7 +14,9 @@ current valuation level, solve the finite linear system over the
 coefficient field that cancels the whole leading part against the shifted
 columns, pivoting by lowest column index.  Completeness of the candidate
 shift set is guaranteed when the period map has trivial kernel on the
-lattice; see the package docs for the degenerate-kernel caveat.
+lattice; see the package docs for the degenerate-kernel caveat.  One
+loop, :func:`_cancel`, runs every cancellation: the saturation of an
+image (:class:`_SaturatedImage`) and each vector cancelled against it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .complexes import (
     Chain,
     FilteredComplex,
     chain_cleanup,
-    chain_is_zero,
     chain_sub,
     validate,
 )
@@ -45,7 +46,7 @@ from .series import (
 
 DEFAULT_STALL_WINDOW = 8
 DEFAULT_MAX_STEPS = 5000
-# Cap on the outer passes of _saturate.
+# Cap on the sweeps of _SaturatedImage._saturate.
 SATURATION_PASSES = 256
 
 
@@ -144,8 +145,7 @@ def chain_level(chain: Chain, geom: TermGeometry, order):
     return Rank2Value(*best_pair), level
 
 
-def normalize_columns(columns: Sequence[Chain], order=None,
-                      geom: TermGeometry | None = None) -> tuple[list[dict[str, NovikovElement]], list[Exponent]]:
+def normalize_columns(columns: Sequence[Chain], order=None) -> tuple[list[dict[str, NovikovElement]], list[Exponent]]:
     """Shift each column by a monomial so its valuation is the zero pair."""
     order = order or LexOrder()
     out = []
@@ -156,8 +156,8 @@ def normalize_columns(columns: Sequence[Chain], order=None,
             out.append(col)
             shifts.append(None)
             continue
-        g = geom or TermGeometry(next(iter(col.values())).system)
-        value, level = chain_level(col, g, order)
+        geom = TermGeometry(next(iter(col.values())).system)
+        value, level = chain_level(col, geom, order)
         comp, a = level[0]
         neg = tuple(-c for c in a)
         out.append(chain_cleanup({k: v.shift(neg) for k, v in col.items()}))
@@ -202,18 +202,19 @@ def _solve_linear(field, rows: list[list], rhs: list):
 
 
 def _phi_step(v: Chain, level: list, columns: Sequence[Chain],
-              leads: Sequence[list], field):
+              leads: Sequence[tuple], field):
     """One canonical cancellation: returns (new_v, used) or None at a fixed point.
 
-    ``level`` is the attaining-term list of ``chain_level(v)``.  ``used``
-    lists (column index, shift exponent, coefficient) with the subtracted
-    combination sum(c * T^D * column).
+    ``level`` is the attaining-term list of ``chain_level(v)`` and
+    ``leads[i]`` is ``chain_level(columns[i])``.  ``used`` lists (column
+    index, shift exponent, coefficient) with the subtracted combination
+    sum(c * T^D * column).
     """
     level_set = set(level)
     # Candidate shifted columns whose leading part can touch the level.
     cands: list[tuple[int, Exponent]] = []
     seen = set()
-    for i, lead in enumerate(leads):
+    for i, (_, lead) in enumerate(leads):
         for (cu, b) in lead:
             for (cv, a) in level:
                 if cu != cv:
@@ -230,7 +231,7 @@ def _phi_step(v: Chain, level: list, columns: Sequence[Chain],
     contrib: dict[tuple[int, Exponent], dict] = {}
     for (i, d) in cands:
         cd: dict = {}
-        for (cu, b) in leads[i]:
+        for (cu, b) in leads[i][1]:
             pt = (cu, tuple(x + y for x, y in zip(b, d)))
             cd[pt] = columns[i][cu].terms[b]
             points.add(pt)
@@ -258,72 +259,64 @@ def _phi_step(v: Chain, level: list, columns: Sequence[Chain],
     return chain_cleanup(new_v), used
 
 
-def _saturate(cols, exprs, geom, order, ambient, cutoff, stall_window):
-    """Echelonize the spanning set so leading parts span every level.
+def _cancel(image: "_SaturatedImage", v: Chain, lead: tuple):
+    """The cancellation loop: iterate ``_phi_step`` on ``v`` against the image.
 
-    Reduces each column against the others with the same cancellation
-    rule; a column whose leading part is a combination of the others'
-    becomes the higher-valuation residual (or is dropped when dependent).
-    This is the non-Archimedean analogue of making the leading coefficient
-    vectors independent, and is what makes the fixed point of the
-    iteration a genuine best approximation.  One-sided columns whose
-    self-reduction trace stalls are kept as they are.
+    ``lead`` is ``chain_level(v)``.  Stops at a fixed point, when both
+    valuation coordinates exit the cutoff window, or at a stall.  Returns
+    ``(kind, v, lead, trace, combo, stall)``: the final vector and its
+    ``chain_level``, the valuation trace, the cancelled combination
+    sum(c * T^D * expression) in the original column names, and the
+    ``(axis, stabilized)`` pair of a ``diverges-second`` stall.
     """
-    field = ambient.field
-    work = [(dict(c), dict(e)) for c, e in zip(cols, exprs)]
-    for _ in range(SATURATION_PASSES):
-        changed = False
-        for i in range(len(work)):
-            col, expr = work[i]
-            others = [work[j][0] for j in range(len(work)) if j != i]
-            if not others:
-                continue
-            leads = [chain_level(c, geom, order)[1] for c in others]
-            value, level = chain_level(col, geom, order)
-            trace = [value]
-            reduced = False
-            while col:
-                step = _phi_step(col, level, others, leads, field)
-                if step is None:
-                    break
-                col, used = step
-                reduced = True
-                for j, d, c_coeff in used:
-                    src = j if j < i else j + 1
-                    mono = monomial(ambient.system, field, ambient.mode,
-                                    ambient.cutoff, d, c_coeff)
-                    for name, mult in work[src][1].items():
-                        contrib = mono * mult
-                        expr[name] = expr[name] - contrib if name in expr \
-                            else -contrib
-                value, level = chain_level(col, geom, order)
-                trace.append(value)
-                if _detect_stall(trace, cutoff, stall_window) is not None:
-                    break
-            if reduced:
-                expr = {k: v for k, v in expr.items() if not v.is_zero()}
-                if col:
-                    work[i] = (chain_cleanup(col), expr)
-                else:
-                    work.pop(i)
-                changed = True
-                break
-        if not changed:
-            return work
-    raise RuntimeError("column saturation failed to stabilize")
+    order, cutoff, ambient = image.order, image.cutoff, image.ambient
+    value, level = lead
+    trace: list[Rank2Value] = []
+    combo: dict[str, NovikovElement] = {}
+    while True:
+        trace.append(value)
+        if value.is_infinite:
+            break
+        if value.v0 > cutoff and value.v1 > cutoff:
+            return "diverges-both", v, (value, level), trace, combo, None
+        stall = _detect_stall(trace, cutoff)
+        if stall is not None:
+            return "diverges-second", v, (value, level), trace, combo, stall
+        if not image.cols:
+            break
+        step = _phi_step(v, level, image.cols, image.leads, ambient.field)
+        if step is None:
+            break
+        new_v, used = step
+        new_value, level = chain_level(new_v, image.geom, order)
+        if not new_value.is_infinite and order.compare(new_value, value) <= 0:
+            raise RuntimeError("cancellation failed to raise the valuation")
+        for i, d, c in used:
+            mono = monomial(ambient.system, ambient.field, ambient.mode, ambient.cutoff, d, c)
+            for name, mult in image.exprs[i].items():
+                contrib = mono * mult
+                combo[name] = combo[name] + contrib if name in combo else contrib
+        v, value = new_v, new_value
+        if len(trace) > DEFAULT_MAX_STEPS:
+            raise RuntimeError(f"no termination within {DEFAULT_MAX_STEPS} steps")
+    return "fixed-point", v, (value, level), trace, combo, None
 
 
 class _SaturatedImage:
     """The image of a column set, saturated once for one order and cutoff.
 
-    Everything here depends on the columns, never on the vector being
-    cancelled, so one instance serves any number of :meth:`cancel` runs.
-    The ambient ring (system, field, mode, truncation) is read from the
-    first column; without columns it is read from each vector instead.
+    ``cols``, ``exprs`` and ``leads`` are kept in step: ``exprs[i]``
+    writes ``cols[i]`` in the original columns, and ``leads[i]`` is
+    ``chain_level(cols[i])``, computed once and recomputed only when that
+    column changes.  None of it depends on the vector being cancelled, so
+    one instance serves any number of :meth:`cancel` runs.  The ambient
+    ring (system, field, mode, truncation) is read from the first column;
+    without columns, each vector's period system gives its valuations.
+    Columns must be normalized (valuation the zero pair) unless
+    ``offsets`` are given.
     """
 
-    def __init__(self, columns, order, cutoff, offsets, stall_window,
-                 require_normalized):
+    def __init__(self, columns, order, cutoff, offsets):
         names, cols = _as_columns(columns)
         cols = [chain_cleanup(c) for c in cols]
         keep = [i for i, c in enumerate(cols) if c]
@@ -337,7 +330,6 @@ class _SaturatedImage:
         self.order = order
         self.cutoff = cutoff
         self.offsets = offsets
-        self.stall_window = stall_window
         self.ambient = self.geom = None
         self.cols, self.exprs, self.leads = [], [], []
         if not cols:
@@ -345,100 +337,87 @@ class _SaturatedImage:
         ambient = self.ambient = next(iter(cols[0].values()))
         geom = self.geom = TermGeometry(ambient.system, offsets)
         one = ambient.like({(0,) * ambient.system.rank: ambient.field.one})
-        for c in cols:
-            value, _ = chain_level(c, geom, order)
-            if require_normalized and offsets is None and value.as_tuple() != (Fraction(0), Fraction(0)):
-                raise NormalizationError(
-                    f"column valuation {value} is not the zero pair; normalize first"
-                )
-        basket = _saturate(cols, [{n: one} for n in names], geom, order,
-                           ambient, cutoff, stall_window)
-        self.cols = [b[0] for b in basket]
-        self.exprs = [b[1] for b in basket]
-        self.leads = [chain_level(c, geom, order)[1] for c in self.cols]
+        self.leads = [chain_level(c, geom, order) for c in cols]
+        if offsets is None:
+            for value, _ in self.leads:
+                if value.as_tuple() != (Fraction(0), Fraction(0)):
+                    raise NormalizationError(
+                        f"column valuation {value} is not the zero pair; normalize first"
+                    )
+        self.cols = cols
+        self.exprs = [{n: one} for n in names]
+        self._saturate()
 
-    def cancel(self, v: Chain, max_steps: int) -> ReductionOutcome:
+    def _saturate(self) -> None:
+        """Echelonize the columns so their leading parts span every level.
+
+        Sweeps the columns in order and cancels each against the others
+        with :func:`_cancel`; the first column that changes becomes the
+        higher-valuation residual (or is dropped when it reduces to zero),
+        and the sweep restarts.  This is the non-Archimedean analogue of
+        making the leading coefficient vectors independent, and is what
+        makes the fixed point of the iteration a genuine best
+        approximation.  A column whose trace stalls keeps its last iterate.
+        """
+        cols, exprs, leads = self.cols, self.exprs, self.leads
+        for _ in range(SATURATION_PASSES):
+            for i in range(len(cols)):
+                # Take column i out, so that the image is the other columns.
+                col, expr, lead = cols.pop(i), exprs.pop(i), leads.pop(i)
+                _, rest, rest_lead, trace, combo, _ = _cancel(self, col, lead)
+                if len(trace) == 1:
+                    cols.insert(i, col)
+                    exprs.insert(i, expr)
+                    leads.insert(i, lead)
+                    continue
+                if rest:
+                    cols.insert(i, rest)
+                    exprs.insert(i, chain_sub(expr, combo))
+                    leads.insert(i, rest_lead)
+                break
+            else:
+                return
+        raise RuntimeError("column saturation failed to stabilize")
+
+    def cancel(self, v: Chain) -> ReductionOutcome:
         """Iterate the cancellation map on ``v`` against the saturated image."""
-        order, cutoff = self.order, self.cutoff
         v = chain_cleanup(v)
-        ambient, geom = self.ambient, self.geom
-        if ambient is None:
-            ambient = next(iter(v.values()), None)
-            if ambient is None:
-                return ReductionOutcome("fixed-point", {}, {}, (VALUE_INF,), {})
-            geom = TermGeometry(ambient.system, self.offsets)
-        field = ambient.field
-
-        trace: list[Rank2Value] = []
-        combo: dict[str, NovikovElement] = {}
-        original = dict(v)
-        steps = 0
-        value, level = chain_level(v, geom, order)
-        while True:
-            trace.append(value)
-            if value.is_infinite:
-                break
-            if value.v0 > cutoff and value.v1 > cutoff:
-                return _outcome("diverges-both", original, v, trace, combo)
-            stall = _detect_stall(trace, cutoff, self.stall_window)
-            if stall is not None:
-                axis, stabilized = stall
-                return ReductionOutcome("diverges-second", chain_sub(original, v), v,
-                                        tuple(trace), combo, stabilized=stabilized,
-                                        axis=axis)
-            if not self.cols:
-                break
-            step = _phi_step(v, level, self.cols, self.leads, field)
-            if step is None:
-                break
-            new_v, used = step
-            new_value, level = chain_level(new_v, geom, order)
-            if not new_value.is_infinite and order.compare(new_value, value) <= 0:
-                raise RuntimeError("cancellation failed to raise the valuation")
-            for i, d, c in used:
-                mono = monomial(ambient.system, field, ambient.mode, ambient.cutoff, d, c)
-                for name, mult in self.exprs[i].items():
-                    contrib = mono * mult
-                    combo[name] = combo[name] + contrib if name in combo else contrib
-            v, value = new_v, new_value
-            steps += 1
-            if steps > max_steps:
-                raise RuntimeError(f"no termination within {max_steps} steps")
-        combo = {k: val for k, val in combo.items() if not val.is_zero()}
-        return _outcome("fixed-point", original, v, trace, combo)
+        geom = self.geom
+        if geom is None and v:
+            geom = TermGeometry(next(iter(v.values())).system, self.offsets)
+        kind, rest, _, trace, combo, stall = _cancel(self, v, chain_level(v, geom, self.order))
+        combo = chain_cleanup(combo)
+        outcome = ReductionOutcome(kind, chain_sub(v, rest), rest, tuple(trace), combo)
+        if stall is not None:
+            outcome.axis, outcome.stabilized = stall
+        return outcome
 
 
 def fixed_point(columns, v: Chain, order=None, cutoff=None, *,
-                offsets: Mapping[str, tuple] | None = None,
-                stall_window: int = DEFAULT_STALL_WINDOW,
-                require_normalized: bool = True,
-                max_steps: int = DEFAULT_MAX_STEPS) -> ReductionOutcome:
+                offsets: Mapping[str, tuple] | None = None) -> ReductionOutcome:
     """Iterate the canonical cancellation map until it fixes the vector.
 
     ``columns`` spans the image being cancelled against; ``cutoff`` bounds
-    the valuation window used for divergence classification.  With
-    ``offsets`` the valuation of each term is shifted per component, which
-    turns the iteration into a filtration-level minimizer.  Each call
-    saturates the image afresh; :func:`floer_divergence_check` saturates
-    once and cancels every probe against that one image.
+    the valuation window used for divergence classification.  Without
+    ``offsets`` the columns must be normalized (:class:`NormalizationError`
+    otherwise); with them the valuation of each term is shifted per
+    component, which turns the iteration into a filtration-level
+    minimizer.  Each call saturates the image afresh;
+    :func:`floer_divergence_check` saturates once and cancels every probe
+    against that one image.
     """
-    image = _SaturatedImage(columns, order or LexOrder(), cutoff, offsets,
-                            stall_window, require_normalized)
-    return image.cancel(v, max_steps)
+    return _SaturatedImage(columns, order or LexOrder(), cutoff, offsets).cancel(v)
 
 
-def _outcome(kind, original, v, trace, combo) -> ReductionOutcome:
-    return ReductionOutcome(kind, chain_sub(original, v), v, tuple(trace), combo)
-
-
-def _detect_stall(trace: list[Rank2Value], cutoff: Fraction, window: int):
-    """One-sided divergence over the trailing window.
+def _detect_stall(trace: list[Rank2Value], cutoff: Fraction):
+    """One-sided divergence over the trailing ``DEFAULT_STALL_WINDOW`` values.
 
     Classifies a trace whose coordinates move at incompatible speeds: one
     coordinate leaves the cutoff window while the other fails to grow over
     the whole trailing window (constant, or even decreasing).  Balanced
     traces (both coordinates growing) are left to run into truncation.
     """
+    window = DEFAULT_STALL_WINDOW
     if len(trace) < window:
         return None
     tail = trace[-window:]
@@ -461,30 +440,19 @@ def _as_columns(columns) -> tuple[list[str], list[dict[str, NovikovElement]]]:
 
 
 def best_approximation(columns, w: Chain, order=None, cutoff=None, *,
-                       offsets: Mapping[str, tuple] | None = None,
-                       stall_window: int = DEFAULT_STALL_WINDOW,
-                       require_normalized: bool = True):
+                       offsets: Mapping[str, tuple] | None = None):
     """The image element closest to w in the chosen order.
 
     Returns ``(u, achieved)`` where u lies in the span of the columns and
-    ``achieved`` is the valuation of w - u, maximal over the span at
-    cutoff scale.  Either u = 0 or u's valuation equals w's.  Divergent
-    traces raise :class:`FloerDivergenceError` carrying the witness.
+    ``achieved`` is the valuation of w - u (the last value of the
+    cancellation trace), maximal over the span at cutoff scale.  Either
+    u = 0 or u's valuation equals w's.  Divergent traces raise
+    :class:`FloerDivergenceError` carrying the witness.
     """
-    outcome = fixed_point(columns, w, order, cutoff, offsets=offsets,
-                          stall_window=stall_window,
-                          require_normalized=require_normalized)
+    outcome = fixed_point(columns, w, order, cutoff, offsets=offsets)
     if not outcome.is_fixed_point:
         raise FloerDivergenceError(outcome)
-    geom_offsets = offsets
-    order = order or LexOrder()
-    if chain_is_zero(outcome.residual):
-        achieved = VALUE_INF
-    else:
-        ambient = next(iter(outcome.residual.values()))
-        geom = TermGeometry(ambient.system, geom_offsets)
-        achieved, _ = chain_level(outcome.residual, geom, order)
-    return outcome.approximant, achieved
+    return outcome.approximant, outcome.trace[-1]
 
 
 class DivergenceWitness:
@@ -517,8 +485,10 @@ class DivergenceCheck:
         return self.passed
 
 
-def _divergence_probes(columns, order, seed: int, n_random: int):
-    """The normalized columns and the probe vectors of a divergence check."""
+def _divergence_probes(columns):
+    """The normalized columns and the probe vectors of a divergence check:
+    each column, each of its single-term slices, and four random vectors
+    drawn from ``random.Random(0)``."""
     import random as _random
 
     _, raw = _as_columns(columns)
@@ -526,7 +496,7 @@ def _divergence_probes(columns, order, seed: int, n_random: int):
     cols = [c for c in cols if c]
     if not cols:
         return [], []
-    norm_cols, _ = normalize_columns(cols, order)
+    norm_cols, _ = normalize_columns(cols)
 
     probes: list[dict[str, NovikovElement]] = []
     for col in norm_cols:
@@ -535,11 +505,11 @@ def _divergence_probes(columns, order, seed: int, n_random: int):
             coeff = col[comp]
             for a in sorted(coeff.terms):
                 probes.append({comp: coeff.like({a: coeff.terms[a]})})
-    rng = _random.Random(seed)
+    rng = _random.Random(0)
     ambient = next(iter(norm_cols[0].values()))
     support = sorted({(comp, a) for col in norm_cols for comp in col
                       for a in col[comp].terms})
-    for _ in range(n_random):
+    for _ in range(4):
         picks = [term for term in support if rng.random() < 0.5] or [support[0]]
         probe: dict[str, NovikovElement] = {}
         for comp, a in picks:
@@ -550,28 +520,26 @@ def _divergence_probes(columns, order, seed: int, n_random: int):
     return norm_cols, probes
 
 
-def floer_divergence_check(columns, cutoff, *, order=None, seed: int = 0,
-                           stall_window: int = DEFAULT_STALL_WINDOW,
-                           n_random: int = 4) -> DivergenceCheck:
+def floer_divergence_check(columns, cutoff) -> DivergenceCheck:
     """Probe the image of an operator for one-sided valuation divergence.
 
     Runs the cancellation iteration from every column, from every
     single-term slice of a column, and from a few seeded random vectors
-    supported on the columns' components.  A trace whose valuation stalls
+    supported on the columns' components, in the lexicographic order.  A
+    trace whose valuation stalls
     in one coordinate while the other exits the cutoff window is returned
     as a witness; operators arising as boundary operators of legal
     filtered complexes must pass.  The normalized columns are saturated
     once per check, and every probe is cancelled against that one image.
     """
-    order = order or LexOrder()
-    norm_cols, probes = _divergence_probes(columns, order, seed, n_random)
+    norm_cols, probes = _divergence_probes(columns)
     if not norm_cols:
         return DivergenceCheck(True)
-    image = _SaturatedImage(norm_cols, order, cutoff, None, stall_window, True)
+    image = _SaturatedImage(norm_cols, LexOrder(), cutoff, None)
     for probe in probes:
         if not probe:
             continue
-        outcome = image.cancel(probe, DEFAULT_MAX_STEPS)
+        outcome = image.cancel(probe)
         if outcome.kind == "diverges-second":
             return DivergenceCheck(False, DivergenceWitness(
                 probe=probe, trace=outcome.trace, axis=outcome.axis,

@@ -1,15 +1,18 @@
+import contextlib
 import importlib
 import io
 import os
+import re
 import subprocess
 import sys
+import traceback
 from fractions import Fraction
 
 import pytest
 
 from novikit.cli import main
 from novikit.complexes import FilteredComplex
-from novikit.fileformat import emit, parse
+from novikit.fileformat import ParseError, emit, parse
 from novikit.models import ModelSpec, gen_elementary, gen_pathological
 
 F = Fraction
@@ -123,18 +126,23 @@ def _mutate(text, prefix, replacement):
     return "\n".join(lines) + "\n", idx + 1
 
 
+# (prefix, replacement) edits that make a valid file fail to parse.
+MALFORMED = [
+    ("field =", "field = f4"),
+    ("field =", "field = fx"),
+    ("omega0 =", "omega0 = 1/1"),
+    ("rank =", "rank = -1"),
+    ("[boundary", "[boundary s=2/1]"),
+    (None, "[continuation foo]"),
+    ("cutoff =", "cutoff = -1/1"),
+    ("field =", "field = f1000000000000000000000000000057"),
+]
+
+
 class TestInputContract:
-    @pytest.mark.parametrize("prefix, replacement", [
-        ("field =", "field = f4"),
-        ("field =", "field = fx"),
-        ("omega0 =", "omega0 = 1/1"),
-        ("rank =", "rank = -1"),
-        ("[boundary", "[boundary s=2/1]"),
-        (None, "[continuation foo]"),
-        ("cutoff =", "cutoff = -1/1"),
-        ("field =", "field = f1000000000000000000000000000057"),
-    ], ids=["f4", "fx", "omega0", "rank", "boundary-s", "continuation", "cutoff",
-            "huge-prime"])
+    @pytest.mark.parametrize("prefix, replacement", MALFORMED,
+                             ids=["f4", "fx", "omega0", "rank", "boundary-s",
+                                  "continuation", "cutoff", "huge-prime"])
     def test_malformed_value_names_its_line(self, model_file, tmp_path,
                                             prefix, replacement):
         text, line_no = _mutate(open(model_file).read(), prefix, replacement)
@@ -160,6 +168,16 @@ class TestInputContract:
         assert f"line {line_no}:" in err and "outside [0, 1]" in err
         assert "Traceback" not in err
 
+    def test_zero_denominator_coefficient_names_its_line(self, model_file, tmp_path):
+        # Over q a coefficient is a rational; 1/0 once escaped as a traceback.
+        text, _ = _mutate(open(model_file).read(), "field =", "field = q")
+        text, line_no = _mutate(text, "x0 y0 :", "x0 y0 : 1/0 1,1")
+        path = tmp_path / "bad.nvk"
+        path.write_text(text)
+        code, out, err = run_cli(["validate", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: line {line_no}: bad coefficient '1/0'\n"
+
     def test_largest_prime_field_validates(self, line_file, tmp_path):
         text, _ = _mutate(open(line_file).read(), "field =", "field = f2147483647")
         path = tmp_path / "big.nvk"
@@ -167,6 +185,91 @@ class TestInputContract:
         code, out, err = run_cli(["validate", str(path)])
         assert (code, err) == (0, "")
         assert out.startswith("OK 5 samples")
+
+
+# Tokens the fuzzer writes over a line or a word, or appends to a word.
+FUZZ_TOKENS = ("", "/0", ",0", ".5", "9" * 24, "0/1", "-1/1", "0/0", "x", "x0",
+               "z0", ":", "=", "[", "#", "1,1", "0,0,0", "1 1,1", "f4", "q", "mode",
+               "[boundary s=1/2]", "[continuation from=0/1 to=1/1]",
+               "phi x0 x0 : 1 0,0")
+
+
+def _fuzz_edit(text, edit):
+    """``text`` after one ``(kind, position, token)`` edit."""
+    kind, pos, token = edit
+    if kind == "malformed":
+        prefix, replacement = MALFORMED[pos % len(MALFORMED)]
+        if prefix and not any(line.startswith(prefix) for line in text.splitlines()):
+            prefix = None  # an earlier edit took the line: append instead
+        return _mutate(text, prefix, replacement)[0]
+    if kind == "truncate":
+        return text[: pos % (len(text) + 1)]
+    lines = text.splitlines()
+    if not lines:
+        return token + "\n"
+    i = pos % len(lines)
+    if kind == "line":
+        lines[i] = token
+    elif kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:  # "word" replaces a word, "suffix" appends to it
+        words = lines[i].split(" ")
+        j = pos // len(lines) % len(words)
+        words[j] = words[j] + token if kind == "suffix" else token
+        lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+class TestCliFuzz:
+    """Mutated valid files never crash the CLI: the exit code is a
+    documented one, no traceback, and a parse error names its line."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_inputs(self, model_file, line_file, tmp_path_factory):
+        rational = emit(gen_elementary(ModelSpec(seed=2, lattice_rank=1, field_name="q")))
+        texts = [open(model_file).read(), open(line_file).read(), rational]
+        return texts, tmp_path_factory.mktemp("fuzz") / "fuzz.nvk"
+
+    def test_mutated_files_exit_cleanly(self, fuzz_inputs):
+        pytest.importorskip("hypothesis")
+        from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+        texts, path = fuzz_inputs
+        edits = st.lists(st.tuples(
+            st.sampled_from(("malformed", "truncate", "line", "delete",
+                             "duplicate", "word", "suffix")),
+            st.integers(0, 10_000), st.sampled_from(FUZZ_TOKENS)),
+            min_size=1, max_size=3)
+        commands = st.sampled_from((["validate"], ["barcode", "--t", "1/2"]))
+
+        @settings(derandomize=True, max_examples=150, deadline=None, database=None,
+                  suppress_health_check=list(HealthCheck))
+        @given(st.sampled_from(texts), edits, commands)
+        def run(text, edit_list, command):
+            for edit in edit_list:
+                text = _fuzz_edit(text, edit)
+            path.write_text(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main([command[0], str(path), *command[1:]])
+                except Exception:
+                    traceback.print_exc()
+                    code = None
+            err = err.getvalue()
+            assert "Traceback" not in err, (text, err)
+            assert code in (0, 1, 2, 3), (text, code, err)
+            try:
+                parse(text)
+            except ParseError:
+                assert code == 2 and re.fullmatch(r"error: line \d+: .+\n", err), \
+                    (text, err)
+
+        for k in range(len(MALFORMED)):  # the contract cases, as they are
+            run = example(texts[0], [("malformed", k, "")], ["validate"])(run)
+        run()
 
 
 class TestInternalLimits:

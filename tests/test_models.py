@@ -134,6 +134,18 @@ class TestGenRandom:
         assert bars_key(got) == bars_key(elementary_bars(base, F(1, 2)))
         assert elapsed < 2.0, f"82-generator barcode took {elapsed:.2f} s"
 
+    def test_rho_ceiling_82_generators(self):
+        spec = ModelSpec(seed=3, n_pairs=40, n_closed=2, cutoff=10, density=F(1, 4))
+        base = gen_elementary(spec)
+        twisted = gen_random(spec)
+        assert len(twisted.generators) == 82
+        start = time.perf_counter()
+        got = rho(twisted, basis_chain(twisted, "z0"), F(1, 2))
+        elapsed = time.perf_counter() - start
+        # The closed generator's prescribed action.
+        assert got.value == base.action_at("z0", F(1, 2)) == F(5, 4)
+        assert elapsed < 5.0, f"82-generator rho took {elapsed:.2f} s"
+
     def test_two_basis_seeds_same_bars_different_matrices(self):
         spec = ModelSpec(seed=5, n_pairs=2, n_closed=0, density=1)
         c1 = gen_random(spec, basis_seed=1)

@@ -200,7 +200,7 @@ def _line_operator():
 def _per_probe_check(columns, cutoff):
     """Verdict and witness from one public fixed_point call per probe."""
     order = LexOrder()
-    norm_cols, probes = _divergence_probes(columns, order, 0, 4)
+    norm_cols, probes = _divergence_probes(columns)
     for probe in probes:
         out = fixed_point(norm_cols, probe, order, cutoff)
         if out.kind == "diverges-second":
@@ -221,13 +221,13 @@ class TestSaturatedOncePerCheck:
     def test_matches_per_probe_fixed_point(self, monkeypatch, operator, passed):
         columns, cutoff = operator()
         calls = []
-        saturate = reduction._saturate
+        saturate = reduction._SaturatedImage._saturate
 
-        def counting(*args):
-            calls.append(args)
-            return saturate(*args)
+        def counting(image):
+            calls.append(image)
+            return saturate(image)
 
-        monkeypatch.setattr(reduction, "_saturate", counting)
+        monkeypatch.setattr(reduction._SaturatedImage, "_saturate", counting)
         check = floer_divergence_check(columns, cutoff)
         assert len(calls) == 1
         monkeypatch.undo()
@@ -236,7 +236,8 @@ class TestSaturatedOncePerCheck:
 
     def test_empty_operator_never_saturates(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(reduction, "_saturate", lambda *args: calls.append(args))
+        monkeypatch.setattr(reduction._SaturatedImage, "_saturate",
+                            lambda image: calls.append(image))
         assert floer_divergence_check([], 10)
         assert calls == []
 
