@@ -12,6 +12,7 @@ continuation quadruples.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .periods import PeriodSystem
@@ -275,6 +276,86 @@ def _matrix_violations(cx: FilteredComplex, matrix: Matrix, names: set,
     return found
 
 
+class _IntLevels:
+    """The affine filtration levels of a complex's terms, scaled to ints.
+
+    At parameter s a term T^A of the entry in row r has level
+    ``eta_r(s) - ((1-s)*omega0(A) + s*omega1(A))``, which is
+    ``(action0_r - omega0(A)) + s*(slope_r + omega0(A) - omega1(A))``.
+    Every action and period is a multiple of ``1/denom``, the lcm of their
+    denominators, so both coefficients are ints over ``denom``.
+    """
+
+    __slots__ = ("denom", "actions", "omega0", "omega1", "_periods")
+
+    def __init__(self, cx: FilteredComplex):
+        system = cx.system
+        values = [*system.omega0, *system.omega1]
+        for g in cx.generators:
+            values += (g.action0, g.action_slope)
+        denom = lcm(*(v.denominator for v in values))
+        self.denom = denom
+        self.actions = {g.name: (int(g.action0 * denom), int(g.action_slope * denom))
+                        for g in cx.generators}
+        self.omega0 = [int(w * denom) for w in system.omega0]
+        self.omega1 = [int(w * denom) for w in system.omega1]
+        self._periods: dict = {}  # exponent -> (omega0, omega0 - omega1), scaled
+
+    def table(self, matrix: Matrix) -> dict:
+        """Column -> (own constant, own slope, term levels, dangling row)
+        for every column of a generator with a nonzero entry: the scaled
+        (constant, slope) of the column's action and of every term of its
+        entries, and its first nonzero row that names no generator (or
+        None).  This is all the filtration check needs at any sample."""
+        actions, periods = self.actions, self._periods
+        table = {}
+        for col, column in matrix.items():
+            if col not in actions:
+                continue
+            levels, dangling = [], None
+            for row, entry in column.items():
+                if not entry.terms:
+                    continue
+                if row not in actions:
+                    dangling = row
+                    break
+                a_row, b_row = actions[row]
+                for a in entry.terms:
+                    p = periods.get(a)
+                    if p is None:
+                        g0 = sum(w * c for w, c in zip(self.omega0, a))
+                        g1 = sum(w * c for w, c in zip(self.omega1, a))
+                        p = periods[a] = (g0, g0 - g1)
+                    levels.append((a_row - p[0], b_row + p[1]))
+            if levels or dangling is not None:
+                table[col] = (*actions[col], levels, dangling)
+        return table
+
+
+def _filtration_violations(cx: FilteredComplex, matrix: Matrix, table: dict,
+                           denom: int, s: Fraction) -> list:
+    """Strict filtration decrease of every nonzero column at s = p/q, as
+    ``ell(column, s) < action(col, s)`` on ints scaled by ``denom*q``."""
+    if table and not 0 <= s <= 1:
+        raise ValueError(f"t={s} outside [0, 1]")
+    p, q = s.numerator, s.denominator
+    found = []
+    for col in matrix:  # in this matrix's column order
+        entry = table.get(col)
+        if entry is None:
+            continue
+        own_a, own_b, levels, dangling = entry
+        if dangling is not None:
+            cx.generator(dangling)  # raises StructureError, as ell does
+        top = max(a * q + b * p for a, b in levels)
+        own = own_a * q + own_b * p
+        if top >= own:
+            scale = denom * q
+            found.append(("filtration", (s, col, Fraction(top, scale),
+                                         Fraction(own, scale))))
+    return found
+
+
 def validate(cx: FilteredComplex, grid: Iterable | None = None) -> ValidationReport:
     """Structural and filtration checks at every requested sample.
 
@@ -282,7 +363,9 @@ def validate(cx: FilteredComplex, grid: Iterable | None = None) -> ValidationRep
     (entries lower degree by one), and strict filtration decrease of every
     nonzero column at each sampled s.  Violations carry witnesses.  The
     checks that read only the matrix run once per distinct (``==``) matrix
-    and are reported again, with their s, at every sample that has it.
+    and are reported again, with their s, at every sample that has it.  The
+    filtration check scales each term's affine level to ints once per
+    distinct matrix and evaluates it per sample on ints.
     """
     violations: list = []
     names = set(cx.generator_names)
@@ -294,25 +377,18 @@ def validate(cx: FilteredComplex, grid: Iterable | None = None) -> ValidationRep
             violations.append(("missing-sample", s))
     samples = [s for s in samples if s in cx.boundaries]
 
-    checked: list = []  # (matrix, its _matrix_violations)
+    scaled = _IntLevels(cx)
+    checked: list = []  # (matrix, its _matrix_violations, its scaled.table)
     for s in samples:
         matrix = cx.boundaries[s]
-        found = next((v for m, v in checked if m == matrix), None)
-        if found is None:
-            found = _matrix_violations(cx, matrix, names, degrees)
-            checked.append((matrix, found))
+        hit = next((c for c in checked if c[0] == matrix), None)
+        if hit is None:
+            hit = (matrix, _matrix_violations(cx, matrix, names, degrees),
+                   scaled.table(matrix))
+            checked.append(hit)
+        _, found, table = hit
         violations.extend((kind, (s, *witness)) for kind, witness in found)
-        # strict filtration decrease per nonzero column
-        for col, column in matrix.items():
-            if col not in names:
-                continue
-            image = chain_cleanup(column)
-            if not image:
-                continue
-            level = ell(cx, image, s)
-            own = cx.action_at(col, s)
-            if not level < own:
-                violations.append(("filtration", (s, col, level, own)))
+        violations.extend(_filtration_violations(cx, matrix, table, scaled.denom, s))
     return ValidationReport(ok=not violations, violations=violations)
 
 

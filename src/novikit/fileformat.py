@@ -6,7 +6,9 @@ strings; exponent vectors are comma-separated integers ("." for a rank-0
 lattice); unknown sections or keys, and values outside their domain
 (field, whose prime must lie below 2^31, cutoff, rank, period vector
 lengths, boundary samples and continuation endpoints, which lie in
-[0, 1]), are rejected with the offending line number.
+[0, 1]), are rejected with the offending line number.  The ring sections
+(``[options]``, ``[period-system]``) must precede every boundary and
+continuation entry.
 
     # novikit complex v1
     [options]
@@ -162,7 +164,8 @@ class _Parser:
         self.continuations: list = []
         self._section = None
         self._cont = None
-        self._ring = None  # _ring_info's result; reset when its inputs change
+        self._ring = None  # _ring_info's result, fixed from the first entry on
+        self._entries: dict = {}  # entry text -> its (immutable) NovikovElement
 
     def fail(self, line_no, msg):
         raise ParseError(line_no, msg)
@@ -184,10 +187,10 @@ class _Parser:
         if not line.endswith("]"):
             self.fail(idx, "unterminated section header")
         head = line[1:-1].strip()
-        if head == "options":
-            self._section = "options"
-        elif head == "period-system":
-            self._section = "period-system"
+        if head in ("options", "period-system"):
+            if self._ring is not None:
+                self.fail(idx, f"[{head}] section after boundary or continuation entries")
+            self._section = head
         elif head == "generators":
             self._section = "generators"
         elif head.startswith("boundary"):
@@ -200,7 +203,7 @@ class _Parser:
             if s in self.boundaries:
                 self.fail(idx, f"duplicate boundary sample s={render_fraction(s)}")
             self.boundaries[s] = {}
-            self._section = ("boundary", s)
+            self._section = ("boundary", self.boundaries[s])
         elif head.startswith("continuation"):
             items = [p.split("=", 1) for p in head[len("continuation"):].split()]
             parts = dict(p for p in items if len(p) == 2)
@@ -221,8 +224,9 @@ class _Parser:
             self.fail(idx, f"unknown section {head!r}")
 
     def _ring_info(self, idx):
-        """(system, field, mode, cutoff), built on first use after the
-        last ``[options]`` or ``[period-system]`` line changed them."""
+        """(system, field, mode, cutoff), built on first use.  The first
+        entry fixes it: a later ``[options]`` or ``[period-system]``
+        section is an error."""
         if self._ring is not None:
             return self._ring
         if self.rank is None:
@@ -256,7 +260,11 @@ class _Parser:
         for n in (row, col):
             if n not in self.names:
                 self.fail(idx, f"unknown generator {n!r}")
-        entry = _parse_terms(terms.strip(), self._ring_info(idx), idx)
+        # Each distinct entry text is parsed once; its element is shared.
+        terms = terms.strip()
+        entry = self._entries.get(terms)
+        if entry is None:
+            entry = self._entries[terms] = _parse_terms(terms, self._ring_info(idx), idx)
         if col in target and row in target[col]:
             self.fail(idx, f"duplicate entry {row} {col}")
         target.setdefault(col, {})[row] = entry
@@ -265,8 +273,6 @@ class _Parser:
         sec = self._section
         if sec is None:
             self.fail(idx, "content before any section")
-        if sec in ("options", "period-system"):
-            self._ring = None
         if sec == "options":
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
@@ -325,8 +331,8 @@ class _Parser:
             self.generators.append(CappedGenerator(
                 name, degree, _parse_fraction(a0, idx), _parse_fraction(slope, idx)))
             self.names.add(name)
-        elif isinstance(sec, tuple) and sec[0] == "boundary":
-            self._entry_line(line, idx, self.boundaries[sec[1]])
+        elif isinstance(sec, tuple):  # ("boundary", its matrix)
+            self._entry_line(line, idx, sec[1])
         elif sec == "continuation":
             if line.startswith("shift1") or line.startswith("shift2"):
                 key, _, val = line.partition("=")

@@ -511,12 +511,12 @@ def _divergence_probes(columns):
                       for a in col[comp].terms})
     for _ in range(4):
         picks = [term for term in support if rng.random() < 0.5] or [support[0]]
-        probe: dict[str, NovikovElement] = {}
+        # Each component's terms are collected first and its element built
+        # once; adding monomials one by one would rebuild it per term.
+        terms: dict[str, dict] = {}
         for comp, a in picks:
-            mono = monomial(ambient.system, ambient.field, ambient.mode,
-                            ambient.cutoff, a, ambient.field.sample_nonzero(rng))
-            probe[comp] = probe[comp] + mono if comp in probe else mono
-        probes.append(chain_cleanup(probe))
+            terms.setdefault(comp, {})[a] = ambient.field.sample_nonzero(rng)
+        probes.append(chain_cleanup({comp: ambient.like(t) for comp, t in terms.items()}))
     return norm_cols, probes
 
 

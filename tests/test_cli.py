@@ -136,13 +136,17 @@ MALFORMED = [
     (None, "[continuation foo]"),
     ("cutoff =", "cutoff = -1/1"),
     ("field =", "field = f1000000000000000000000000000057"),
+    # a ring section after the entries once rebuilt the ring under them
+    (None, "[options]\ncutoff = 5/1\n[boundary s=1/3]\nx0 y0 : 1 2,1"),
+    (None, "[period-system]\nrank = 2\nomega0 = 1/1 0/1\nomega1 = 0/1 2/1"),
 ]
 
 
 class TestInputContract:
     @pytest.mark.parametrize("prefix, replacement", MALFORMED,
                              ids=["f4", "fx", "omega0", "rank", "boundary-s",
-                                  "continuation", "cutoff", "huge-prime"])
+                                  "continuation", "cutoff", "huge-prime",
+                                  "late-options", "late-period-system"])
     def test_malformed_value_names_its_line(self, model_file, tmp_path,
                                             prefix, replacement):
         text, line_no = _mutate(open(model_file).read(), prefix, replacement)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from novikit import (
 )
 from novikit.complexes import StructureError
 from novikit.fields import GF2, QQ
+from novikit.models import ModelSpec, gen_elementary, gen_random, line_family
 
 F = Fraction
 SAMPLES = (F(0), F(1, 2), F(1))
@@ -194,3 +196,101 @@ class TestContinuation:
         data = ContinuationData(0, 1, phi, psi, {}, {}, 0, 0)
         report = verify_continuation(cx, cx, data)
         assert any(v[0] == "shift-phi" for v in report.violations)
+
+
+def _reference_filtration(cx, samples):
+    """The filtration violations of ``validate``, sample by sample from the
+    public ``ell`` and ``action_at``."""
+    found = []
+    for s in samples:
+        for col, column in cx.boundaries[s].items():
+            image = {row: e for row, e in column.items() if not e.is_zero()}
+            if image:
+                level, own = ell(cx, image, s), cx.action_at(col, s)
+                if not level < own:
+                    found.append(("filtration", (s, col, level, own)))
+    return found
+
+
+def _with_gens(cx, gens, boundaries=None):
+    return FilteredComplex(cx.system, cx.coefficient_field, cx.mode, cx.cutoff, gens,
+                           cx.boundaries if boundaries is None else boundaries)
+
+
+def _tilted(cx, rng):
+    """cx with three generators' actions moved, so that columns fail the
+    filtration check at some samples and pass at others."""
+    gens = list(cx.generators)
+    for i in rng.sample(range(len(gens)), 3):
+        g = gens[i]
+        gens[i] = CappedGenerator(g.name, g.degree, g.action0 + F(rng.randint(-8, 8), 2),
+                                  g.action_slope + F(rng.randint(-16, 16), 3))
+    return _with_gens(cx, gens)
+
+
+def _copied(matrix, reverse=False):
+    """An equal matrix with no entry object in common, columns optionally
+    in reverse order."""
+    cols = list(matrix.items())
+    return {col: {row: e.like(dict(e.terms)) for row, e in column.items()}
+            for col, column in (cols[::-1] if reverse else cols)}
+
+
+def _oracle_models():
+    for seed, pairs, field, density in ((1, 3, "f2", F(1, 2)), (2, 4, "q", F(1, 2)),
+                                        (5, 5, "q", F(1, 4)), (7, 6, "f2", F(1, 4))):
+        yield gen_random(ModelSpec(seed=seed, n_pairs=pairs, n_closed=2,
+                                   field_name=field, density=density))
+    for seed, field in ((2, "f2"), (3, "q")):
+        base = gen_elementary(ModelSpec(seed=seed, n_pairs=3, n_closed=2,
+                                        lattice_rank=0, field_name=field))
+        yield line_family(base, [F(i % 5 - 2, 8) for i in range(len(base.generators))])
+
+
+class TestFiltrationOracle:
+    """``validate``'s integer filtration check against ``ell`` per sample."""
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_models_and_injected_violations(self, k):
+        cx = list(_oracle_models())[k]
+        assert validate(cx).violations == _reference_filtration(cx, cx.samples) == []
+        rng = random.Random(k)
+        hits = 0
+        for _ in range(6):
+            bad = _tilted(cx, rng)
+            want = _reference_filtration(bad, bad.samples)
+            got = validate(bad).violations
+            assert got == want
+            assert all(type(v) is F for _, (_, _, *levels) in got for v in levels)
+            hits += bool(want) and len({w[1][0] for w in want}) < len(bad.samples)
+        assert hits  # some tilt fails at some samples only
+
+    def test_new_denominators_and_copied_matrices(self):
+        cx = next(_oracle_models())
+        m = cx.boundaries[F(0)]
+        boundaries = {F(0): m, F(1, 3): m, F(5, 7): _copied(m),
+                      F(11, 12): _copied(m, reverse=True), F(1): _copied(m)}
+        rng = random.Random(3)
+        for _ in range(4):
+            bad = _tilted(_with_gens(cx, cx.generators, boundaries), rng)
+            assert bad.boundaries[F(5, 7)] == m
+            want = _reference_filtration(bad, bad.samples)
+            assert validate(bad).violations == want
+            grid = [F(11, 12), F(1, 3), F(1, 2)]
+            assert validate(bad, grid).violations == (
+                [("missing-sample", F(1, 2))] + _reference_filtration(bad, grid[:2]))
+
+    def test_sample_outside_unit_interval_raises_as_ell_does(self, axes, ring):
+        gens = (CappedGenerator("a", 0, 0, 0), CappedGenerator("b", 1, 1, 0))
+        cx = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens,
+                             {F(2): {"b": {"a": ring.one()}}})
+        with pytest.raises(ValueError, match=r"t=2 outside \[0, 1\]"):
+            validate(cx)
+        empty = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens, {F(2): {}})
+        assert validate(empty)
+
+    def test_dangling_row_raises_as_ell_does(self, axes, ring):
+        gens = (CappedGenerator("a", 0, 0, 0), CappedGenerator("b", 1, 1, 0))
+        cx = make_complex(axes, gens, {"b": {"a": ring.one(), "ghost": ring.one()}})
+        with pytest.raises(StructureError, match="unknown generator 'ghost'"):
+            validate(cx)

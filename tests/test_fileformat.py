@@ -118,3 +118,73 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse("\n".join(lines))
         assert "duplicate generator" in str(err.value)
+
+
+class TestEntryMemo:
+    """Each distinct entry text is parsed once and its element shared; every
+    line is still checked on its own."""
+
+    def text(self):
+        spec = ModelSpec(seed=3, n_pairs=3, n_closed=2, density=F(3, 4))
+        return emit(line_family(gen_random(spec), [F(1, 8)] * 8))
+
+    def test_identical_sections_share_entry_objects(self):
+        cx = parse(self.text())
+        first, *rest = cx.samples
+        base = cx.boundaries[first]
+        assert base and len(rest) == 4
+        for s in rest:
+            matrix = cx.boundaries[s]
+            assert matrix is not base and matrix == base
+            for col, column in base.items():
+                assert matrix[col] is not column
+                for row, entry in column.items():
+                    assert matrix[col][row] is entry
+        # continuation maps share the elements of equal entry texts too
+        one = next(e for d in cx.continuations for col in d.phi
+                   for row, e in d.phi[col].items() if row == col)
+        assert all(e is one for d in cx.continuations for col in d.phi
+                   for row, e in d.phi[col].items() if row == col)
+
+    def test_differing_sections_parse_independently(self):
+        text = emit(gen_elementary(ModelSpec(seed=0, n_pairs=1, n_closed=0)))
+        text = text.replace("[boundary s=1/2]\nx0 y0 : 1 2,1",
+                            "[boundary s=1/2]\nx0 y0 : 1 3,1 ; 1 2,2")
+        cx = parse(text)
+        half, zero = cx.boundaries[F(1, 2)]["y0"]["x0"], cx.boundaries[F(0)]["y0"]["x0"]
+        assert sorted(half.terms) == [(2, 2), (3, 1)]
+        assert list(zero.terms) == [(2, 1)]
+        assert all(cx.boundaries[s]["y0"]["x0"] is zero
+                   for s in cx.samples if s != F(1, 2))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: [line, line], "duplicate entry"),
+        (lambda line: [line, "ghost" + line[line.index(" "):]], "unknown generator"),
+        (lambda line: [line, line.replace(":", ": 1 9,9 ;")], "duplicate entry"),
+    ], ids=["duplicate", "unknown-generator", "duplicate-new-text"])
+    def test_later_copy_errors_report_their_own_line(self, edit, message):
+        lines = self.text().splitlines()
+        last = max(i for i, line in enumerate(lines) if line.startswith("[boundary"))
+        entry = last + 1
+        lines[entry:entry + 1] = edit(lines[entry])
+        with pytest.raises(ParseError) as err:
+            parse("\n".join(lines) + "\n")
+        assert err.value.line_no == entry + 2
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("section", [
+        "[options]\ncutoff = 5/1", "[period-system]\nrank = 2"],
+        ids=["options", "period-system"])
+    def test_ring_section_after_entries_rejected(self, section):
+        lines = self.text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("[continuation"))
+        lines[at:at] = section.splitlines()
+        with pytest.raises(ParseError) as err:
+            parse("\n".join(lines) + "\n")
+        assert err.value.line_no == at + 1
+        assert "after boundary or continuation entries" in str(err.value)
+
+    def test_repeated_ring_sections_before_entries_still_accepted(self):
+        text = self.text().replace("[generators]",
+                                   "[options]\ncutoff = 10/1\n\n[generators]")
+        assert emit(parse(text)) == self.text()

@@ -22,6 +22,7 @@ from novikit import (
     floer_divergence_check,
     homology_ranks_at_cutoff,
     matrix_rank_at_cutoff,
+    monomial,
     persistence_barcode,
 )
 from novikit import reduction
@@ -41,7 +42,7 @@ from novikit.reduction import (
     _divergence_probes,
     chain_level,
 )
-from novikit.complexes import chain_is_zero, chain_sub
+from novikit.complexes import chain_cleanup, chain_is_zero, chain_sub
 
 F = Fraction
 B = (0, 1)
@@ -240,6 +241,44 @@ class TestSaturatedOncePerCheck:
                             lambda image: calls.append(image))
         assert floer_divergence_check([], 10)
         assert calls == []
+
+
+def _added_random_probes(norm_cols):
+    """The four random probes of a divergence check, each built from
+    monomials one ``+`` at a time, in the draw order of ``random.Random(0)``."""
+    rng = random.Random(0)
+    ambient = next(iter(norm_cols[0].values()))
+    support = sorted({(comp, a) for col in norm_cols for comp in col
+                      for a in col[comp].terms})
+    probes = []
+    for _ in range(4):
+        picks = [term for term in support if rng.random() < 0.5] or [support[0]]
+        probe = {}
+        for comp, a in picks:
+            mono = monomial(ambient.system, ambient.field, ambient.mode,
+                            ambient.cutoff, a, ambient.field.sample_nonzero(rng))
+            probe[comp] = probe[comp] + mono if comp in probe else mono
+        probes.append(chain_cleanup(probe))
+    return probes
+
+
+@pytest.mark.parametrize("operator", [
+    lambda: _random_operator(1, 3),
+    lambda: _random_operator(4, 4, "q"),
+    lambda: _random_operator(6, 6, "q"),
+    lambda: _random_operator(3, 12),
+    _line_operator,
+], ids=["random-1", "random-4-q", "random-6-q", "random-3-12", "line"])
+def test_random_probes_equal_added_reference(operator):
+    columns, _ = operator()
+    norm_cols, probes = _divergence_probes(columns)
+    want = _added_random_probes(norm_cols)
+    assert probes[-4:] == want
+
+    def layout(probe):
+        return [(comp, list(e.terms.items())) for comp, e in probe.items()]
+
+    assert [layout(p) for p in probes[-4:]] == [layout(p) for p in want]
 
 
 class TestModeRanks:
