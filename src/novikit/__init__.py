@@ -23,11 +23,11 @@ _EXPORTS = {
     "complexes": ("CappedGenerator", "ContinuationData", "FilteredComplex",
                   "NEG_INF", "apply_boundary", "basis_chain", "ell",
                   "ell_curve", "validate", "verify_continuation"),
-    "reduction": ("Bar", "Barcode", "DivergenceCheck", "FloerDivergenceError",
-                  "ReductionOutcome", "best_approximation", "fixed_point",
-                  "floer_divergence_check", "homology_ranks_at_cutoff",
-                  "matrix_rank_at_cutoff", "normalize_columns",
-                  "persistence_barcode"),
+    "cancellation": ("DivergenceCheck", "FloerDivergenceError",
+                     "ReductionOutcome", "best_approximation", "fixed_point",
+                     "floer_divergence_check", "homology_ranks_at_cutoff",
+                     "matrix_rank_at_cutoff", "normalize_columns"),
+    "reduction": ("Bar", "Barcode", "persistence_barcode"),
     "invariants": ("SemicontinuityReport", "SpectralResult", "bottleneck",
                    "boundary_depth", "rho", "rho_beta_csv",
                    "scan_semicontinuity", "spectrum"),

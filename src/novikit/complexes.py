@@ -11,6 +11,7 @@ continuation quadruples.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
@@ -265,14 +266,34 @@ def _matrix_violations(cx: FilteredComplex, matrix: Matrix, names: set,
             _check_entry_compat(cx, entry)
             if not entry.is_zero() and degrees[row] != degrees[col] - 1:
                 found.append(("grading", (col, row)))
-    # square zero, exactly
-    for col in matrix:
+    # Square zero, exactly.  Each row's products are summed as raw
+    # (row, exponent) -> coefficient terms and truncated once: truncation
+    # keeps a term by its exponent alone, so the nonzero rows are those of
+    # apply_matrix applied twice, without a NovikovElement per product.
+    one = _unit(cx)
+    field, keeps, pair = cx.coefficient_field, cx.mode.keeps, cx.system.pair
+    add, mul, zero, plus = field.add, field.mul, field.zero, operator.add
+    for col, column in matrix.items():
         if col not in names:
             continue
-        image = apply_matrix(cx, matrix, {col: _unit(cx)})
-        second = apply_matrix(cx, matrix, image)
+        for row, entry in column.items():
+            if row not in names:
+                entry._compatible(one)  # as multiplying it by d(col) would
+        sums: dict = {}
+        for mid, entry in column.items():
+            if not entry.terms:
+                continue
+            for row, outer in matrix.get(mid, {}).items():
+                if mid not in names or row not in names:
+                    outer._compatible(one)  # the others were checked above
+                for a, c in outer.terms.items():
+                    for b, d in entry.terms.items():
+                        key = (row, tuple(map(plus, a, b)))
+                        sums[key] = add(sums.get(key, zero), mul(c, d))
+        second = sorted({row for (row, e), c in sums.items()
+                         if not field.is_zero(c) and keeps(pair(e), cx.cutoff)})
         if second:
-            found.append(("square-nonzero", (col, sorted(second))))
+            found.append(("square-nonzero", (col, second)))
     return found
 
 
@@ -302,23 +323,24 @@ class _IntLevels:
         self._periods: dict = {}  # exponent -> (omega0, omega0 - omega1), scaled
 
     def table(self, matrix: Matrix) -> dict:
-        """Column -> (own constant, own slope, term levels, dangling row)
-        for every column of a generator with a nonzero entry: the scaled
-        (constant, slope) of the column's action and of every term of its
-        entries, and its first nonzero row that names no generator (or
-        None).  This is all the filtration check needs at any sample."""
+        """Column -> (own constant, own slope, term levels) for every
+        column of a generator with a nonzero entry: the scaled (constant,
+        slope) of the column's action and of every term of its entries in
+        rows that name a generator.  This is all the filtration check needs
+        at any sample.  A nonzero row that names no generator is reported
+        as ``dangling-row`` and has no level."""
         actions, periods = self.actions, self._periods
         table = {}
         for col, column in matrix.items():
             if col not in actions:
                 continue
-            levels, dangling = [], None
+            levels, nonzero = [], False
             for row, entry in column.items():
                 if not entry.terms:
                     continue
+                nonzero = True
                 if row not in actions:
-                    dangling = row
-                    break
+                    continue
                 a_row, b_row = actions[row]
                 for a in entry.terms:
                     p = periods.get(a)
@@ -327,8 +349,8 @@ class _IntLevels:
                         g1 = sum(w * c for w, c in zip(self.omega1, a))
                         p = periods[a] = (g0, g0 - g1)
                     levels.append((a_row - p[0], b_row + p[1]))
-            if levels or dangling is not None:
-                table[col] = (*actions[col], levels, dangling)
+            if nonzero:
+                table[col] = (*actions[col], levels)
         return table
 
 
@@ -344,9 +366,9 @@ def _filtration_violations(cx: FilteredComplex, matrix: Matrix, table: dict,
         entry = table.get(col)
         if entry is None:
             continue
-        own_a, own_b, levels, dangling = entry
-        if dangling is not None:
-            cx.generator(dangling)  # raises StructureError, as ell does
+        own_a, own_b, levels = entry
+        if not levels:  # every nonzero row dangles: the level is -inf
+            continue
         top = max(a * q + b * p for a, b in levels)
         own = own_a * q + own_b * p
         if top >= own:

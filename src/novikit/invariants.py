@@ -29,13 +29,7 @@ from .complexes import (
     ell_curve,
 )
 from .fields import render_fraction
-from .reduction import (
-    Bar,
-    Barcode,
-    best_approximation,
-    fixed_point,
-    persistence_barcode,
-)
+from .reduction import Bar, Barcode, persistence_barcode
 from .series import INF, NovikovElement, TWeightedOrder
 
 
@@ -90,6 +84,8 @@ def _boundary_columns_into_degree(cx: FilteredComplex, matrix, degree: int):
 
 def _rho_against_matrix(cx: FilteredComplex, matrix, cycle: Chain, t: Fraction,
                         cutoff: Fraction) -> SpectralResult:
+    from .cancellation import best_approximation
+
     cycle = chain_cleanup(cycle)
     if not cycle:
         return SpectralResult(NEG_INF, {}, {}, degenerate=True)
@@ -451,6 +447,8 @@ def _pushforward(cx: FilteredComplex, t: Fraction, cycle: Chain,
 
 def _pullback_level(cx, columns, witness_t, witness_0, cutoff):
     """Filtration level at 0 of a chain filling witness_t - witness_0."""
+    from .cancellation import fixed_point
+
     diff = chain_sub(witness_t, witness_0)
     if chain_is_zero(diff):
         return Fraction(0)

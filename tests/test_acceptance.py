@@ -49,7 +49,7 @@ from novikit.models import (
     pathological_columns,
     shift_constants,
 )
-from novikit.reduction import FloerDivergenceError
+from novikit.cancellation import FloerDivergenceError
 from novikit.series import NovikovElement, monomial, unit
 
 F = Fraction

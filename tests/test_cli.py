@@ -27,6 +27,9 @@ def _env(env_extra=None):
     return env
 
 
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench")
+
+
 def run_cli(argv, env_extra=None, module="novikit.cli", python_flags=None):
     proc = subprocess.run(
         [sys.executable, *(python_flags or ()), "-m", module, *argv],
@@ -281,9 +284,9 @@ class TestInternalLimits:
     traceback; a divergence failure stays exit 1."""
 
     @pytest.mark.parametrize("module, cap, argv, message", [
-        ("reduction", "SATURATION_PASSES", ["validate"],
+        ("cancellation", "SATURATION_PASSES", ["validate"],
          "column saturation failed to stabilize"),
-        ("reduction", "DEFAULT_MAX_STEPS", ["validate"],
+        ("cancellation", "DEFAULT_MAX_STEPS", ["validate"],
          "no termination within 0 steps"),
         ("invariants", "REFINEMENT_ROUNDS", ["scan", "--cycle", "z0"],
          "spectral curve failed to stabilize"),
@@ -315,28 +318,45 @@ class TestPerCommandWork:
                 if line.startswith("import time:")}
 
     def test_validate_and_barcode_import_only_what_they_run(self, model_file):
-        for argv in (["validate", model_file], ["barcode", model_file, "--t", "1/2"]):
+        # ``validate`` runs the rank-2 cancellation only, ``barcode`` the
+        # slice reduction only: each compiles one of the two modules.
+        for argv, runs, skips in (
+                (["validate", model_file], "novikit.cancellation", "novikit.reduction"),
+                (["barcode", model_file, "--t", "1/2"], "novikit.reduction",
+                 "novikit.cancellation")):
             imported = self._imports(argv)
-            assert "novikit.reduction" in imported
-            assert not imported & {"novikit.invariants", "novikit.models",
+            assert runs in imported
+            assert not imported & {skips, "novikit.invariants", "novikit.models",
                                    "concurrent.futures"}
 
-    @pytest.mark.parametrize("argv, envelope", [
-        (["validate", "{f}"], False),
-        (["barcode", "{f}", "--t", "1/2"], False),
-        (["beta", "{f}", "--t", "1/2"], True),
-        (["rho", "{f}", "--cycle", "z0", "--t", "1/2"], True),
-        (["scan", "{f}", "--cycle", "z0"], True),
-        (["gen", "--seed", "1"], False),
+    @pytest.mark.parametrize("argv, envelope, halves", [
+        (["validate", "{f}"], False, {"cancellation"}),
+        (["barcode", "{f}", "--t", "1/2"], False, {"reduction"}),
+        (["beta", "{f}", "--t", "1/2"], True, {"reduction"}),
+        (["rho", "{f}", "--cycle", "z0", "--t", "1/2"], True,
+         {"reduction", "cancellation"}),
+        (["scan", "{f}", "--cycle", "z0"], True, {"reduction", "cancellation"}),
+        (["gen", "--seed", "1"], False, set()),
     ], ids=["validate", "barcode", "beta", "rho", "scan", "gen"])
     def test_no_command_imports_dataclasses_or_unrun_layers(self, line_file, argv,
-                                                            envelope):
+                                                            envelope, halves):
         imported = self._imports([a.format(f=line_file) for a in argv])
         assert not imported & {"dataclasses", "inspect"}
         assert ("novikit.envelope" in imported) is envelope
+        assert {m for m in ("reduction", "cancellation")
+                if f"novikit.{m}" in imported} == halves
         if argv[0] == "gen":
             assert "novikit.models" in imported
-            assert "novikit.reduction" not in imported
+
+    def test_stability_job_imports_neither_cancellation_nor_models(self, line_file):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", os.path.join(BENCH, "stability_job.py"),
+             line_file], capture_output=True, text=True, env=_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert "novikit.reduction" in imported
+        assert not imported & {"novikit.cancellation", "novikit.models"}
 
     def test_import_novikit_loads_no_submodule(self):
         code = ("import sys, novikit; "
@@ -357,11 +377,11 @@ class TestPerCommandWork:
 
     @staticmethod
     def _count_checks(monkeypatch):
-        import novikit.reduction
+        import novikit.cancellation
 
         calls = []
-        inner = novikit.reduction.floer_divergence_check
-        monkeypatch.setattr(novikit.reduction, "floer_divergence_check",
+        inner = novikit.cancellation.floer_divergence_check
+        monkeypatch.setattr(novikit.cancellation, "floer_divergence_check",
                             lambda *a, **k: calls.append(1) or inner(*a, **k))
         return calls
 
@@ -400,6 +420,55 @@ class TestPerCommandWork:
         code, out, _ = run_cli(["validate", str(path)])
         assert code == 1
         assert out.startswith("FAIL divergence at s=0/1: ")
+
+
+TRACER_BINDING = """
+import io, sys
+from contextlib import redirect_stdout
+
+import novikit.cli
+
+out = io.StringIO()
+with redirect_stdout(out):
+    assert novikit.cli.main(sys.argv[2:]) == 0
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    fh.write(out.getvalue())
+
+import stability_job
+import tracer
+
+assert "novikit.cancellation" not in sys.modules
+spans = tracer.Tracer()
+spans.install([stability_job])
+mark = spans.mark()
+with redirect_stdout(io.StringIO()):
+    assert stability_job.main([sys.argv[1]]) == 0
+spans.uninstall()
+assert spans.summary(mark)["reduction.persistence_barcode.calls"] == 5
+
+import novikit.cancellation
+import novikit.reduction
+
+for name in ("fixed_point", "floer_divergence_check", "best_approximation"):
+    assert getattr(novikit.reduction, name) is getattr(novikit.cancellation, name), name
+print("bound")
+"""
+
+
+class TestBenchBinding:
+    def test_tracer_binds_on_a_stability_pass(self, tmp_path):
+        # What the harness has loaded when it first installs its tracer on
+        # the stability workload: an in-process ``gen``, then the stability
+        # job.  The tracer reads every traced function from its old module
+        # by name, and needs ``novikit.envelope`` loaded by then.
+        env = _env()
+        env["PYTHONPATH"] = os.pathsep.join([BENCH, env["PYTHONPATH"]])
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACER_BINDING, str(tmp_path / "line.nvk"),
+             "gen", "--model", "line", "--seed", "1", "--pairs", "3", "--closed", "1",
+             "--rank", "0", "--slopes=1/2,-1/3"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "bound\n"), proc.stderr
 
 
 class TestCommands:

@@ -25,7 +25,7 @@ from novikit import (
     monomial,
     persistence_barcode,
 )
-from novikit import reduction
+from novikit import cancellation
 from novikit.fields import GF2
 from novikit.models import (
     ModelSpec,
@@ -35,7 +35,7 @@ from novikit.models import (
     line_family,
     pathological_columns,
 )
-from novikit.reduction import (
+from novikit.cancellation import (
     DivergenceWitness,
     NormalizationError,
     TermGeometry,
@@ -222,13 +222,13 @@ class TestSaturatedOncePerCheck:
     def test_matches_per_probe_fixed_point(self, monkeypatch, operator, passed):
         columns, cutoff = operator()
         calls = []
-        saturate = reduction._SaturatedImage._saturate
+        saturate = cancellation._SaturatedImage._saturate
 
         def counting(image):
             calls.append(image)
             return saturate(image)
 
-        monkeypatch.setattr(reduction._SaturatedImage, "_saturate", counting)
+        monkeypatch.setattr(cancellation._SaturatedImage, "_saturate", counting)
         check = floer_divergence_check(columns, cutoff)
         assert len(calls) == 1
         monkeypatch.undo()
@@ -237,7 +237,7 @@ class TestSaturatedOncePerCheck:
 
     def test_empty_operator_never_saturates(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(reduction._SaturatedImage, "_saturate",
+        monkeypatch.setattr(cancellation._SaturatedImage, "_saturate",
                             lambda image: calls.append(image))
         assert floer_divergence_check([], 10)
         assert calls == []
