@@ -142,24 +142,18 @@ def chain_level(chain: Chain, geom: TermGeometry, order):
     return Rank2Value(*best_pair), level
 
 
-def normalize_columns(columns: Sequence[Chain], order=None) -> tuple[list[dict[str, NovikovElement]], list[Exponent]]:
-    """Shift each column by a monomial so its valuation is the zero pair."""
-    order = order or LexOrder()
+def normalize_columns(columns: Sequence[Chain]) -> list[dict[str, NovikovElement]]:
+    """Shift each column by a monomial so its lex valuation is the zero pair."""
     out = []
-    shifts = []
     for col in columns:
         col = chain_cleanup(col)
-        if not col:
-            out.append(col)
-            shifts.append(None)
-            continue
-        geom = TermGeometry(next(iter(col.values())).system)
-        value, level = chain_level(col, geom, order)
-        comp, a = level[0]
-        neg = tuple(-c for c in a)
-        out.append(chain_cleanup({k: v.shift(neg) for k, v in col.items()}))
-        shifts.append(a)
-    return out, shifts
+        if col:
+            geom = TermGeometry(next(iter(col.values())).system)
+            _, level = chain_level(col, geom, LexOrder())
+            neg = tuple(-c for c in level[0][1])
+            col = chain_cleanup({k: v.shift(neg) for k, v in col.items()})
+        out.append(col)
+    return out
 
 
 def _solve_linear(field, rows: list[list], rhs: list):
@@ -493,7 +487,7 @@ def _divergence_probes(columns):
     cols = [c for c in cols if c]
     if not cols:
         return [], []
-    norm_cols, _ = normalize_columns(cols)
+    norm_cols = normalize_columns(cols)
 
     probes: list[dict[str, NovikovElement]] = []
     for col in norm_cols:

@@ -2,11 +2,12 @@
 
 Exit codes: 0 success, 1 domain failure (validation, divergence, or a
 violated semicontinuity verdict), 2 input error (unreadable file, parse
-error, bad flags), 3 an internal limit was hit (the iteration caps of
-column saturation, cancellation and scan refinement; the message names
-it).  Rationals on the command line and in all output are "p/q"
-strings.  Input files name their field as q or f<p>, p a prime below
-2^31.  ``rho`` prints the spectral value only; the spectrum itself is
+error, bad flags, or any other ``ValueError`` a command raises, such as
+a t with no boundary sample), 3 an internal limit was hit (the iteration
+caps of column saturation, cancellation and scan refinement; the
+message names it).  Rationals on the command line and in all output are
+"p/q" strings.  Input files name their field as q or f<p>, p a prime
+below 2^31.  ``rho`` prints the spectral value only; the spectrum itself is
 ``invariants.spectrum``.  Commands run serially; the environment variable
 NOVIKIT_THREADS is accepted and ignored.
 
@@ -83,11 +84,7 @@ def _cycle_chain(cx: FilteredComplex, names_arg: str):
         raise SystemExit(_input_error("empty cycle name list"))
     chain = {}
     for name in names:
-        try:
-            part = basis_chain(cx, name)
-        except Exception:
-            raise SystemExit(_input_error(f"unknown generator {name!r}"))
-        for k, v in part.items():
+        for k, v in basis_chain(cx, name).items():
             chain[k] = chain[k] + v if k in chain else v
     return chain_cleanup(chain)
 
@@ -109,14 +106,15 @@ def cmd_validate(args) -> int:
         for kind, witness in report.violations:
             print(f"FAIL {kind}: {witness}")
         return EXIT_DOMAIN
-    # The check reads only the matrix and the cutoff: one run per distinct
-    # matrix, reported at the first sample that has it.
-    checked: list = []
+    # The check reads only the matrix and the cutoff: one run per matrix
+    # object (equal samples share one), reported at the first sample that
+    # has it.
+    checked: set = set()
     for s in picked:
         matrix = cx.boundary_matrix(s)
-        if matrix in checked:
+        if id(matrix) in checked:
             continue
-        checked.append(matrix)
+        checked.add(id(matrix))
         check = floer_divergence_check(matrix, cx.cutoff)
         if not check:
             w = check.witness
@@ -133,10 +131,7 @@ def cmd_barcode(args) -> int:
     from .reduction import persistence_barcode
 
     cx = _load(args.path)
-    try:
-        barcode = persistence_barcode(cx, args.t, prevalidated=True)
-    except ValueError as err:
-        return _input_error(str(err))
+    barcode = persistence_barcode(cx, args.t, prevalidated=True)
     sys.stdout.write(barcode.to_csv())
     return EXIT_OK
 
@@ -146,10 +141,7 @@ def cmd_rho(args) -> int:
 
     cx = _load(args.path)
     chain = _cycle_chain(cx, args.cycle)
-    try:
-        res = rho(cx, chain, args.t, args.cutoff)
-    except ValueError as err:
-        return _input_error(str(err))
+    res = rho(cx, chain, args.t, args.cutoff)
     print("-inf" if res.degenerate else render_fraction(res.value))
     return EXIT_OK
 
@@ -158,10 +150,7 @@ def cmd_beta(args) -> int:
     from .invariants import boundary_depth
 
     cx = _load(args.path)
-    try:
-        values = [boundary_depth(cx, t, prevalidated=True) for t in args.t]
-    except ValueError as err:
-        return _input_error(str(err))
+    values = [boundary_depth(cx, t, prevalidated=True) for t in args.t]
     for v in values:
         print(render_fraction(v))
     return EXIT_OK
@@ -173,10 +162,7 @@ def cmd_scan(args) -> int:
     cx = _load(args.path)
     chain = _cycle_chain(cx, args.cycle)
     grid = args.grid if args.grid else list(cx.samples)
-    try:
-        report = scan_semicontinuity(cx, chain, grid)
-    except ValueError as err:
-        return _input_error(str(err))
+    report = scan_semicontinuity(cx, chain, grid)
     print(report.to_json())
     return EXIT_OK if report.usc_at_zero else EXIT_DOMAIN
 
@@ -184,7 +170,6 @@ def cmd_scan(args) -> int:
 def cmd_gen(args) -> int:
     from .models import (
         DEFAULT_SAMPLES,
-        InfeasibleSpec,
         ModelSpec,
         gen_elementary,
         gen_pathological,
@@ -192,32 +177,29 @@ def cmd_gen(args) -> int:
         line_family,
     )
 
-    try:
-        spec = ModelSpec(
-            seed=args.seed,
-            n_pairs=args.pairs,
-            n_closed=args.closed,
-            lattice_rank=args.rank,
-            cutoff=args.cutoff,
-            field_name=args.field,
-            density=args.density,
-            samples=tuple(args.samples) if args.samples else DEFAULT_SAMPLES,
-        )
-        if args.model == "elementary":
-            cx = gen_elementary(spec)
-        elif args.model == "random":
-            cx = gen_random(spec)
-        elif args.model == "pathological":
-            cx = gen_pathological(cutoff=args.cutoff, field_name=args.field)
-        else:
-            base = gen_elementary(spec)
-            slopes = args.slopes or []
-            if len(slopes) < len(base.generators):
-                slopes = list(slopes) + [Fraction(0)] * (
-                    len(base.generators) - len(slopes))
-            cx = line_family(base, slopes[: len(base.generators)])
-    except InfeasibleSpec as err:
-        return _input_error(str(err))
+    spec = ModelSpec(
+        seed=args.seed,
+        n_pairs=args.pairs,
+        n_closed=args.closed,
+        lattice_rank=args.rank,
+        cutoff=args.cutoff,
+        field_name=args.field,
+        density=args.density,
+        samples=tuple(args.samples) if args.samples else DEFAULT_SAMPLES,
+    )
+    if args.model == "elementary":
+        cx = gen_elementary(spec)
+    elif args.model == "random":
+        cx = gen_random(spec)
+    elif args.model == "pathological":
+        cx = gen_pathological(cutoff=args.cutoff, field_name=args.field)
+    else:
+        base = gen_elementary(spec)
+        slopes = args.slopes or []
+        if len(slopes) < len(base.generators):
+            slopes = list(slopes) + [Fraction(0)] * (
+                len(base.generators) - len(slopes))
+        cx = line_family(base, slopes[: len(base.generators)])
     sys.stdout.write(emit(cx))
     return EXIT_OK
 
@@ -286,6 +268,8 @@ def main(argv=None) -> int:
     except SystemExit as err:
         code = err.code
         return code if isinstance(code, int) else EXIT_INPUT
+    except ValueError as err:  # every input the commands reject
+        return _input_error(str(err))
     except RuntimeError as err:
         from .cancellation import FloerDivergenceError
 

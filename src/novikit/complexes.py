@@ -96,7 +96,12 @@ class ValidationReport:
 
 
 class FilteredComplex:
-    """Graded free module with a sampled family of boundary operators."""
+    """Graded free module with a sampled family of boundary operators.
+
+    The stored boundaries are canonical: no entry is zero, no column is
+    empty, and samples with equal operators share one matrix, so consumers
+    test "same operator" with ``is``.
+    """
 
     __slots__ = ("system", "coefficient_field", "mode", "cutoff", "generators",
                  "boundaries", "continuations", "_by_name")
@@ -110,8 +115,22 @@ class FilteredComplex:
         by_name = {g.name: g for g in generators}
         if len(by_name) != len(generators):
             raise StructureError("generator names must be unique")
-        bd = {Fraction(s): {c: dict(col) for c, col in m.items()}
-              for s, m in boundaries.items()}
+        # The one place that decides each sample's operator: zero entries
+        # and the columns they leave empty are dropped, and samples whose
+        # canonical matrices are equal share one dict.  Each raw input is
+        # first compared with the inputs seen so far.
+        bd, seen = {}, []  # seen: (raw input, its canonical matrix)
+        for s, m in boundaries.items():
+            canon = next((c for raw, c in seen if raw == m), None)
+            if canon is None:
+                canon = {}
+                for c, col in m.items():
+                    kept = {r: e for r, e in col.items() if e.terms}
+                    if kept:
+                        canon[c] = kept
+                canon = next((c for _, c in seen if c == canon), canon)
+                seen.append((m, canon))
+            bd[Fraction(s)] = canon
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "coefficient_field", coefficient_field)
         object.__setattr__(self, "mode", mode)
@@ -264,7 +283,7 @@ def _matrix_violations(cx: FilteredComplex, matrix: Matrix, names: set,
                 found.append(("dangling-row", (col, row)))
                 continue
             _check_entry_compat(cx, entry)
-            if not entry.is_zero() and degrees[row] != degrees[col] - 1:
+            if degrees[row] != degrees[col] - 1:
                 found.append(("grading", (col, row)))
     # Square zero, exactly.  Each row's products are summed as raw
     # (row, exponent) -> coefficient terms and truncated once: truncation
@@ -281,8 +300,6 @@ def _matrix_violations(cx: FilteredComplex, matrix: Matrix, names: set,
                 entry._compatible(one)  # as multiplying it by d(col) would
         sums: dict = {}
         for mid, entry in column.items():
-            if not entry.terms:
-                continue
             for row, outer in matrix.get(mid, {}).items():
                 if mid not in names or row not in names:
                     outer._compatible(one)  # the others were checked above
@@ -324,21 +341,18 @@ class _IntLevels:
 
     def table(self, matrix: Matrix) -> dict:
         """Column -> (own constant, own slope, term levels) for every
-        column of a generator with a nonzero entry: the scaled (constant,
-        slope) of the column's action and of every term of its entries in
-        rows that name a generator.  This is all the filtration check needs
-        at any sample.  A nonzero row that names no generator is reported
-        as ``dangling-row`` and has no level."""
+        column of a generator: the scaled (constant, slope) of the column's
+        action and of every term of its entries in rows that name a
+        generator.  This is all the filtration check needs at any sample.
+        A row that names no generator is reported as ``dangling-row`` and
+        has no level."""
         actions, periods = self.actions, self._periods
         table = {}
         for col, column in matrix.items():
             if col not in actions:
                 continue
-            levels, nonzero = [], False
+            levels = []
             for row, entry in column.items():
-                if not entry.terms:
-                    continue
-                nonzero = True
                 if row not in actions:
                     continue
                 a_row, b_row = actions[row]
@@ -349,8 +363,7 @@ class _IntLevels:
                         g1 = sum(w * c for w, c in zip(self.omega1, a))
                         p = periods[a] = (g0, g0 - g1)
                     levels.append((a_row - p[0], b_row + p[1]))
-            if nonzero:
-                table[col] = (*actions[col], levels)
+            table[col] = (*actions[col], levels)
         return table
 
 
@@ -367,7 +380,7 @@ def _filtration_violations(cx: FilteredComplex, matrix: Matrix, table: dict,
         if entry is None:
             continue
         own_a, own_b, levels = entry
-        if not levels:  # every nonzero row dangles: the level is -inf
+        if not levels:  # every row dangles: the level is -inf
             continue
         top = max(a * q + b * p for a, b in levels)
         own = own_a * q + own_b * p
@@ -383,11 +396,12 @@ def validate(cx: FilteredComplex, grid: Iterable | None = None) -> ValidationRep
 
     Verifies exact square-zero of each sampled boundary, the grading
     (entries lower degree by one), and strict filtration decrease of every
-    nonzero column at each sampled s.  Violations carry witnesses.  The
-    checks that read only the matrix run once per distinct (``==``) matrix
-    and are reported again, with their s, at every sample that has it.  The
+    column at each sampled s.  Violations carry witnesses.  Samples with
+    equal operators share one matrix (see ``FilteredComplex``), so the
+    checks that read only the matrix run once per matrix object and are
+    reported again, with their s, at every sample that has it.  The
     filtration check scales each term's affine level to ints once per
-    distinct matrix and evaluates it per sample on ints.
+    matrix and evaluates it per sample on ints.
     """
     violations: list = []
     names = set(cx.generator_names)
@@ -400,15 +414,14 @@ def validate(cx: FilteredComplex, grid: Iterable | None = None) -> ValidationRep
     samples = [s for s in samples if s in cx.boundaries]
 
     scaled = _IntLevels(cx)
-    checked: list = []  # (matrix, its _matrix_violations, its scaled.table)
+    checked: dict = {}  # id(matrix) -> (its _matrix_violations, its scaled.table)
     for s in samples:
         matrix = cx.boundaries[s]
-        hit = next((c for c in checked if c[0] == matrix), None)
+        hit = checked.get(id(matrix))
         if hit is None:
-            hit = (matrix, _matrix_violations(cx, matrix, names, degrees),
-                   scaled.table(matrix))
-            checked.append(hit)
-        _, found, table = hit
+            hit = checked[id(matrix)] = (_matrix_violations(cx, matrix, names, degrees),
+                                         scaled.table(matrix))
+        found, table = hit
         violations.extend((kind, (s, *witness)) for kind, witness in found)
         violations.extend(_filtration_violations(cx, matrix, table, scaled.denom, s))
     return ValidationReport(ok=not violations, violations=violations)

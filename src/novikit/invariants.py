@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import envelope as env
 from .complexes import (
@@ -72,14 +72,8 @@ def _action_offsets(cx: FilteredComplex) -> dict[str, tuple[Fraction, Fraction]]
 
 def _boundary_columns_into_degree(cx: FilteredComplex, matrix, degree: int):
     """Columns of the boundary whose image lands in the given degree."""
-    cols = {}
-    for g in cx.generators:
-        if g.degree != degree + 1:
-            continue
-        col = chain_cleanup(matrix.get(g.name, {}))
-        if col:
-            cols[g.name] = col
-    return cols
+    return {g.name: matrix[g.name] for g in cx.generators
+            if g.degree == degree + 1 and g.name in matrix}
 
 
 def _rho_against_matrix(cx: FilteredComplex, matrix, cycle: Chain, t: Fraction,
@@ -435,7 +429,7 @@ def _pushforward(cx: FilteredComplex, t: Fraction, cycle: Chain,
                  base_matrix, slice_matrix) -> Chain:
     """The cycle carried into the t-slice: identity on equal slices, else
     the phi map of an explicit continuation quadruple from 0 to t."""
-    if _matrices_equal(base_matrix, slice_matrix):
+    if base_matrix is slice_matrix:
         return dict(cycle)
     data = _continuation_from_zero(cx, t)
     if data is None:
@@ -480,7 +474,7 @@ def scan_semicontinuity(cx: FilteredComplex, cycle: Chain, grid: Iterable,
     cutoff = cx.cutoff if cutoff is None else Fraction(cutoff)
     matrices = {g: cx.boundary_matrix(g) for g in grid}
     base = matrices[grid[0]]
-    constant = all(_matrices_equal(base, matrices[g]) for g in grid[1:])
+    constant = all(matrices[g] is base for g in grid[1:])
 
     witnesses: dict = {}
     grid_values: dict = {}
@@ -563,19 +557,6 @@ def scan_semicontinuity(cx: FilteredComplex, cycle: Chain, grid: Iterable,
         grid_values=grid_values,
         witness_levels=witness_levels,
     )
-
-
-def _matrices_equal(a: Mapping, b: Mapping) -> bool:
-    cols = set(a) | set(b)
-    for c in cols:
-        col_a = chain_cleanup(a.get(c, {}))
-        col_b = chain_cleanup(b.get(c, {}))
-        if set(col_a) != set(col_b):
-            return False
-        for r in col_a:
-            if col_a[r] != col_b[r]:
-                return False
-    return True
 
 
 def rho_beta_csv(cx: FilteredComplex, cycle: Chain, ts: Iterable,

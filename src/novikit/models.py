@@ -26,7 +26,6 @@ from .complexes import (
     FilteredComplex,
     _matrix_combine,
     chain_add,
-    chain_cleanup,
     compose_matrices,
     validate,
 )
@@ -163,10 +162,8 @@ def gen_elementary(spec: ModelSpec) -> FilteredComplex:
         sl = _rand_frac(rng, *spec.slope_range)
         gens.append(CappedGenerator(zn, rng.randint(0, 1), a0, sl))
 
-    boundaries = {s: {c: dict(col) for c, col in matrix.items()}
-                  for s in spec.samples}
-    return FilteredComplex(system, coeff_field, mode, cutoff,
-                           tuple(gens), boundaries)
+    return FilteredComplex(system, coeff_field, mode, cutoff, tuple(gens),
+                           dict.fromkeys(spec.samples, matrix))
 
 
 def elementary_bars(cx: FilteredComplex, t):
@@ -179,9 +176,6 @@ def elementary_bars(cx: FilteredComplex, t):
     bars = []
     killed = set()
     for col, column in matrix.items():
-        column = chain_cleanup(column)
-        if not column:
-            continue
         (row, entry), = column.items()
         (g, _), = entry.terms.items()
         g0, g1 = cx.system.pair(g)
@@ -267,10 +261,9 @@ def gen_random(spec: ModelSpec, basis_seed: int | None = None) -> FilteredComple
     p, pinv = _conjugators(spec, base, basis_seed)
     d = base.boundary_matrix(base.samples[0])
     conj = compose_matrices(base, p, compose_matrices(base, d, pinv))
-    boundaries = {s: {c: dict(col) for c, col in conj.items()}
-                  for s in base.samples}
     return FilteredComplex(base.system, base.coefficient_field, base.mode,
-                           base.cutoff, base.generators, boundaries)
+                           base.cutoff, base.generators,
+                           dict.fromkeys(base.samples, conj))
 
 
 def pathological_system() -> PeriodSystem:
@@ -306,10 +299,8 @@ def gen_pathological(cutoff=Fraction(10), field_name: str = "f2",
     one = unit(system, field, mode, cutoff)
     tb = monomial(system, field, mode, cutoff, (0, 1), 1)
     gens = (CappedGenerator("x", 0, 0, 0), CappedGenerator("y", 1, 2, 0))
-    matrix = {"y": {"x": one - tb}}
-    boundaries = {Fraction(s): {c: dict(col) for c, col in matrix.items()}
-                  for s in samples}
-    return FilteredComplex(system, field, mode, cutoff, gens, boundaries)
+    return FilteredComplex(system, field, mode, cutoff, gens,
+                           dict.fromkeys(samples, {"y": {"x": one - tb}}))
 
 
 def shift_constants(slopes: Sequence[Fraction]) -> tuple[Fraction, Fraction]:

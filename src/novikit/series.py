@@ -293,14 +293,12 @@ def mul(x: NovikovElement, y: NovikovElement) -> NovikovElement:
 def valuation(x: NovikovElement, order=None) -> Rank2Value:
     """The minimum over the support of period pairs, in the given order.
 
-    Defaults to the lexicographic order.  Returns the fully infinite value
-    exactly when x = 0.
+    Defaults to the lexicographic order; among pairs the order ties, the
+    lexicographically least (``min_support_level``), whatever the order
+    the terms were inserted in.  Returns the fully infinite value exactly
+    when x = 0.
     """
-    if x.is_zero():
-        return VALUE_INF
-    order = order or LexOrder()
-    best = min((x.system.pair(a) for a in x.terms), key=order.key)
-    return Rank2Value(*best)
+    return min_support_level(x, order or LexOrder())[0]
 
 
 def valuation_at(x: NovikovElement, t):
@@ -369,14 +367,17 @@ def mode_min_value(x: NovikovElement, mode: RingMode | None = None):
     return min(_mode_value(mode, x.system.pair(a)) for a in x.terms)
 
 
-def try_invert(x: NovikovElement, max_rounds: int = 64) -> NovikovElement | None:
+def try_invert(x: NovikovElement) -> NovikovElement | None:
     """Inverse of x in its truncated ring, or None when none exists.
 
     Splits off the term of minimal governing value and runs the quadratic
-    geometric-series refinement; the residual's value must strictly grow
-    each round, which over a discrete value grid either truncates the
-    residual to zero (inverse found) or fails immediately (the leading
-    level is not a unit at cutoff scale).
+    geometric-series refinement; the residual's governing value must
+    strictly grow each round, or the function returns None (the leading
+    level is not a unit at cutoff scale).  The loop needs no cap: that
+    value lies in (1/denom)Z, denom the lcm of the period denominators,
+    and stays at most the cutoff while the residual is nonzero (truncation
+    drops every term above it), so the residual reaches zero after finitely
+    many rounds.
     """
     if x.is_zero():
         return None
@@ -394,7 +395,7 @@ def try_invert(x: NovikovElement, max_rounds: int = 64) -> NovikovElement | None
     y = monomial(x.system, x.field, mode, x.cutoff, tuple(-c for c in a0), inv0)
     one = unit(x.system, x.field, mode, x.cutoff)
     last = None
-    for _ in range(max_rounds):
+    while True:
         r = one - x * y
         if r.is_zero():
             return y
@@ -406,7 +407,6 @@ def try_invert(x: NovikovElement, max_rounds: int = 64) -> NovikovElement | None
             return None
         last = m
         y = y + y * r
-    return None
 
 
 def render_element(x: NovikovElement) -> str:

@@ -36,3 +36,17 @@ def ring(axes):
                         cutoff if cutoff is not None else self.cutoff)
 
     return Ring()
+
+
+@pytest.fixture(scope="session")
+def zero_entry_texts():
+    """A generated random model's file, and a copy whose s=1/2 section adds
+    the entry ``x0 x1 : 1 9,9 ; 1 9,9``, whose terms cancel over f2."""
+    from novikit.fileformat import emit
+    from novikit.models import ModelSpec, gen_random
+
+    plain = emit(gen_random(ModelSpec(seed=4)))
+    head = "[boundary s=1/2]\n"
+    zeroed = plain.replace(head, head + "x0 x1 : 1 9,9 ; 1 9,9\n")
+    assert zeroed != plain
+    return plain, zeroed

@@ -410,6 +410,27 @@ class TestPerCommandWork:
         assert len(calls) == 2
         assert capsys.readouterr().out == "OK 5 samples validated\n" * 3
 
+    def test_zero_entry_section_shares_the_plain_matrix(self, monkeypatch, capsys,
+                                                        zero_entry_texts, tmp_path):
+        # the explicit zero entry at s = 1/2 is dropped on load, so the five
+        # samples share one matrix and the divergence check runs once
+        calls = self._count_checks(monkeypatch)
+        path = tmp_path / "zero.nvk"
+        path.write_text(zero_entry_texts[1])
+        assert main(["validate", str(path)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out == "OK 5 samples validated\n"
+
+    def test_zero_entry_section_scans_as_plain(self, capsys, zero_entry_texts,
+                                               tmp_path):
+        scans = []
+        for name, text in zip(("plain.nvk", "zero.nvk"), zero_entry_texts):
+            path = tmp_path / name
+            path.write_text(text)
+            scans.append((main(["scan", str(path), "--cycle", "z0"]),
+                          capsys.readouterr().out))
+        assert scans[0] == scans[1] and scans[0][1]
+
     def test_seed_defect_a_still_fails(self, tmp_path):
         code, text, err = run_cli(["gen", "--model", "random", "--seed", "3",
                                    "--pairs", "12", "--closed", "2",

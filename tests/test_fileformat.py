@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from novikit.complexes import FilteredComplex
 from novikit.fileformat import ParseError, emit, parse
 from novikit.models import (
     ModelSpec,
@@ -120,6 +121,38 @@ class TestParseErrors:
         assert "duplicate generator" in str(err.value)
 
 
+class TestCanonicalBoundaries:
+    """A complex decides once which samples share a boundary operator: zero
+    entries are dropped on load and equal samples share one matrix."""
+
+    def test_equal_samples_share_one_matrix(self, zero_entry_texts):
+        for text in zero_entry_texts:
+            cx = parse(text)
+            base = cx.boundaries[F(0)]
+            assert all(cx.boundaries[s] is base for s in cx.samples)
+            assert not any(entry.is_zero() for matrix in cx.boundaries.values()
+                           for column in matrix.values() for entry in column.values())
+
+    def test_zero_entries_and_empty_columns_are_dropped(self):
+        cx = gen_elementary(ModelSpec(seed=0, n_pairs=2, n_closed=0))
+        matrix = cx.boundaries[F(0)]
+        zero = cx.zero_coeff()
+        # zero entries in a dangling row and a dangling column are dropped
+        # with the rest, so validate reports neither
+        padded = {c: {**col, "ghost": zero} for c, col in matrix.items()}
+        padded["ghost"] = {"x0": zero}
+        # equal operators listed in another column order share the first one
+        reordered = dict(reversed(list(matrix.items())))
+        again = FilteredComplex(cx.system, cx.coefficient_field, cx.mode, cx.cutoff,
+                                cx.generators, {F(0): matrix, F(1, 2): padded,
+                                                F(1): reordered})
+        base = again.boundaries[F(0)]
+        assert base == matrix and base is not matrix
+        assert again.boundaries[F(1, 2)] is base and again.boundaries[F(1)] is base
+        assert list(base) == list(matrix)
+        assert validate(again).ok
+
+
 class TestEntryMemo:
     """Each distinct entry text is parsed once and its element shared; every
     line is still checked on its own."""
@@ -134,10 +167,10 @@ class TestEntryMemo:
         base = cx.boundaries[first]
         assert base and len(rest) == 4
         for s in rest:
+            # equal sections share one canonical matrix
             matrix = cx.boundaries[s]
-            assert matrix is not base and matrix == base
+            assert matrix is base
             for col, column in base.items():
-                assert matrix[col] is not column
                 for row, entry in column.items():
                     assert matrix[col][row] is entry
         # continuation maps share the elements of equal entry texts too

@@ -87,6 +87,15 @@ class TestValuation:
         x = ring.mono((1, 5), field=QQ) + ring.mono((2, 0), field=QQ)
         assert valuation(x) == Rank2Value(1, 5)
 
+    def test_order_ties_ignore_insertion_order(self, ring):
+        # at t = 1 the key is (g1, g1): (2, 1) and (0, 1) tie, and the
+        # lexicographically least tied pair is the valuation either way
+        order = TWeightedOrder(1)
+        x = ring.mono((2, 1)) + ring.mono((0, 1))
+        y = ring.mono((0, 1)) + ring.mono((2, 1))
+        assert x == y and list(x.terms) != list(y.terms)
+        assert valuation(x, order) == valuation(y, order) == Rank2Value(0, 1)
+
     def test_valuation_at_examples(self, ring):
         assert valuation_at(ring.mono(B), Fraction(1, 2)) == Fraction(1, 2)
         x = ring.one() + ring.mono(B)
