@@ -19,7 +19,7 @@ _EXPORTS = {
                "render_element", "unit", "valuation", "valuation_at", "zero"),
     "envelope": ("PiecewiseAffine", "PointCloud", "filtration_curve",
                  "lower_envelope", "min_intercept", "stable_point",
-                 "stability_threshold", "upper_envelope", "valuation_curve"),
+                 "stability_threshold", "upper_envelope"),
     "complexes": ("CappedGenerator", "ContinuationData", "FilteredComplex",
                   "NEG_INF", "apply_boundary", "basis_chain", "ell",
                   "ell_curve", "validate", "verify_continuation"),
@@ -28,9 +28,9 @@ _EXPORTS = {
                      "floer_divergence_check", "homology_ranks_at_cutoff",
                      "matrix_rank_at_cutoff", "normalize_columns"),
     "reduction": ("Bar", "Barcode", "persistence_barcode"),
-    "invariants": ("SemicontinuityReport", "SpectralResult", "bottleneck",
-                   "boundary_depth", "rho", "rho_beta_csv",
-                   "scan_semicontinuity", "spectrum"),
+    "invariants": ("SpectralResult", "boundary_depth", "rho", "spectrum"),
+    "matching": ("bottleneck",),
+    "semicontinuity": ("SemicontinuityReport", "scan_semicontinuity"),
     "models": ("InfeasibleSpec", "ModelSpec", "elementary_bars",
                "gen_elementary", "gen_pathological", "gen_random",
                "line_family", "pathological_columns", "shift_constants"),

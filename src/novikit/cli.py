@@ -14,8 +14,9 @@ NOVIKIT_THREADS is accepted and ignored.
 Each command loads only the modules it runs.  All of them load
 ``fileformat``, ``complexes``, ``series``, ``periods`` and ``fields``;
 ``validate`` adds ``cancellation``; ``barcode`` adds ``reduction``;
-``beta`` adds ``reduction``, ``invariants`` and ``envelope``; ``rho`` and
-``scan`` add those and ``cancellation``; ``gen`` adds ``models``.
+``beta`` adds ``reduction`` and ``invariants``; ``rho`` adds
+``cancellation`` and ``invariants``; ``scan`` adds those and
+``semicontinuity`` and ``envelope``; ``gen`` adds ``models``.
 Start-up is most of a typical job, and where bytecode is not cached
 (PYTHONDONTWRITEBYTECODE=1, a read-only install) each run compiles every
 module it loads.  Hence ``reduction`` (the slice reduction behind
@@ -23,7 +24,9 @@ barcodes) and ``cancellation`` (the rank-2 cancellation behind ``rho``,
 ``scan`` and the divergence check) are separate modules, imported inside
 the commands that use them: they compile in about 2.0 and 4.4 ms, where
 the one module they replace took 6.2 ms (medians of 150 interleaved
-``compile()`` calls, Python 3.11, 2-core Xeon).  The package uses no
+``compile()`` calls, Python 3.11, 2-core Xeon).  For the same reason
+bottleneck distances (``matching``) and the scan (``semicontinuity``)
+are not in ``invariants``.  The package uses no
 ``dataclasses`` (whose import pulls in ``inspect``).
 """
 
@@ -75,7 +78,10 @@ def _fraction_arg(raw: str) -> Fraction:
 
 
 def _fraction_list(raw: str) -> list[Fraction]:
-    return [_fraction_arg(x) for x in raw.split(",") if x]
+    values = [_fraction_arg(x) for x in raw.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty rational list {raw!r}")
+    return values
 
 
 def _cycle_chain(cx: FilteredComplex, names_arg: str):
@@ -157,7 +163,7 @@ def cmd_beta(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from .invariants import scan_semicontinuity
+    from .semicontinuity import scan_semicontinuity
 
     cx = _load(args.path)
     chain = _cycle_chain(cx, args.cycle)

@@ -5,18 +5,12 @@ A point (g0, g1) of the period plane induces the affine function
 interpolated valuation, a concave piecewise-affine function of t.  With
 per-generator affine action offsets the corresponding upper envelope is
 the filtration level.  All pivots and breakpoints are exact rationals.
-
-The substitution ``t = 1/(1+lam)`` exchanges this parametrization with
-the one by slopes: the minimal y-intercept over the cloud of lines of
-slope ``-lam`` equals ``(1+lam)`` times the valuation curve at ``t``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-from .fields import render_fraction
 
 Point = tuple[Fraction, Fraction]
 Line = tuple[Fraction, Fraction]  # (slope, intercept): f(t) = intercept + slope*t
@@ -109,10 +103,6 @@ class PiecewiseAffine:
         return self.pieces[-1]
 
 
-def constant_curve(value) -> PiecewiseAffine:
-    return PiecewiseAffine((Fraction(0), Fraction(1)), ((Fraction(0), Fraction(value)),))
-
-
 def _merge_collinear(knots: list[Fraction], pieces: list[Line]) -> PiecewiseAffine:
     mk = [knots[0]]
     mp: list[Line] = []
@@ -180,7 +170,8 @@ def _curve_lines_on_grid(curves: Sequence[PiecewiseAffine]):
     return knots, segments
 
 
-def _pointwise(curves: Sequence[PiecewiseAffine], pick_min: bool) -> PiecewiseAffine:
+def pointwise_min(curves: Sequence[PiecewiseAffine]) -> PiecewiseAffine:
+    """Exact pointwise minimum of piecewise-affine curves on [0, 1]."""
     if not curves:
         raise ValueError("need at least one curve")
     _, segments = _curve_lines_on_grid(curves)
@@ -193,32 +184,21 @@ def _pointwise(curves: Sequence[PiecewiseAffine], pick_min: bool) -> PiecewiseAf
     for lo, hi, lines in segments:
         cur = lo
         while cur < hi:
-            # The winner immediately to the right of cur: best value, ties
-            # by the slope that keeps it winning (small for min, large for max).
-            if pick_min:
-                best = min(lines, key=lambda ln: (value(ln, cur), ln[0]))
-            else:
-                best = max(lines, key=lambda ln: (value(ln, cur), ln[0]))
+            # The winner immediately to the right of cur: least value, ties
+            # by the smaller slope, which keeps it winning.
+            best = min(lines, key=lambda ln: (value(ln, cur), ln[0]))
             nxt = hi
             for ln in lines:
                 ds = ln[0] - best[0]
                 if ds == 0:
                     continue
                 tx = (best[1] - ln[1]) / ds
-                if cur < tx < nxt and ((ds < 0) if pick_min else (ds > 0)):
+                if cur < tx < nxt and ds < 0:
                     nxt = tx
             out_pieces.append(best)
             out_knots.append(nxt)
             cur = nxt
     return _merge_collinear(out_knots, out_pieces)
-
-
-def pointwise_min(curves: Sequence[PiecewiseAffine]) -> PiecewiseAffine:
-    return _pointwise(curves, pick_min=True)
-
-
-def pointwise_max(curves: Sequence[PiecewiseAffine]) -> PiecewiseAffine:
-    return _pointwise(curves, pick_min=False)
 
 
 def min_intercept(cloud, lam) -> tuple[Fraction, Point]:
@@ -256,12 +236,6 @@ def stability_threshold(cloud) -> Fraction:
     return thr
 
 
-def valuation_curve(cloud) -> PiecewiseAffine:
-    """Lower envelope of t -> (1-t)*g0 + t*g1 over the cloud."""
-    pts = _cloud_points(cloud)
-    return lower_envelope([(g1 - g0, g0) for g0, g1 in pts])
-
-
 def filtration_curve(actions: Sequence[tuple[tuple, Iterable]]) -> PiecewiseAffine:
     """Upper envelope of action offsets minus period values.
 
@@ -278,44 +252,3 @@ def filtration_curve(actions: Sequence[tuple[tuple, Iterable]]) -> PiecewiseAffi
         for g0, g1 in _cloud_points(cloud):
             lines.append((slope - (g1 - g0), intercept - g0))
     return upper_envelope(lines)
-
-
-def t_to_lambda(t) -> Fraction:
-    """Inverse substitution lam = (1-t)/t, valid for t in (0, 1]."""
-    t = Fraction(t)
-    if not (0 < t <= 1):
-        raise ValueError("t must be in (0, 1]")
-    return (1 - t) / t
-
-
-def lambda_to_t(lam) -> Fraction:
-    """The substitution t = 1/(1+lam), mapping [0, inf) onto (0, 1]."""
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    return 1 / (1 + lam)
-
-
-def intercept_from_curve(curve: PiecewiseAffine, lam) -> Fraction:
-    """Evaluate the slope-parametrized minimum through the t-curve.
-
-    (1+lam) * curve(1/(1+lam)) equals min over the cloud of lam*g0 + g1
-    when ``curve`` is the cloud's valuation curve.
-    """
-    lam = Fraction(lam)
-    return (1 + lam) * curve(lambda_to_t(lam))
-
-
-def curve_csv(curve: PiecewiseAffine, ts: Iterable) -> str:
-    """CSV sampling of the curve: columns t, value (exact p/q strings)."""
-    rows = ["t,value"]
-    for t in ts:
-        t = Fraction(t)
-        rows.append(f"{render_fraction(t)},{render_fraction(curve(t))}")
-    return "\n".join(rows) + "\n"
-
-
-def breakpoints_csv(curve: PiecewiseAffine) -> str:
-    rows = ["breakpoint"]
-    rows.extend(render_fraction(k) for k in curve.knots)
-    return "\n".join(rows) + "\n"

@@ -327,25 +327,6 @@ def min_support_level(x: NovikovElement, order) -> tuple[Rank2Value, list[Expone
     return Rank2Value(*best_pair), sorted(level)
 
 
-def leading_exponent(x: NovikovElement, order=None) -> Exponent:
-    """Deterministic representative exponent attaining the valuation."""
-    order = order or LexOrder()
-    _, level = min_support_level(x, order)
-    if not level:
-        raise ValueError("zero element has no leading exponent")
-    return level[0]
-
-
-def normalize_to_zero_valuation(x: NovikovElement, order=None) -> tuple[NovikovElement, Exponent]:
-    """Shift x by T^-A for a leading exponent A, making its valuation zero.
-
-    Returns the shifted element and the exponent used, so callers can undo
-    the shift.  Raises on the zero element.
-    """
-    a = leading_exponent(x, order)
-    return x.shift(tuple(-c for c in a)), a
-
-
 def convert_mode(x: NovikovElement, mode: RingMode) -> NovikovElement:
     """Reinterpret the element in another ring mode (re-truncating)."""
     return NovikovElement(x.system, x.field, mode, x.cutoff, x.terms)

@@ -185,6 +185,18 @@ class TestInputContract:
         assert (code, out) == (2, "")
         assert err == f"error: line {line_no}: bad coefficient '1/0'\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["beta", "{f}", "--t", ","],
+        ["scan", "{f}", "--cycle", "z0", "--grid", ","],
+        ["gen", "--samples", ","],
+        ["gen", "--model", "line", "--slopes", ","],
+    ], ids=["beta-t", "scan-grid", "gen-samples", "gen-slopes"])
+    def test_empty_rational_list_is_usage_error(self, model_file, argv):
+        code, out, err = run_cli([a.format(f=model_file) for a in argv])
+        assert (code, out) == (2, "")
+        assert f"error: argument {argv[-2]}: empty rational list ','" in err
+        assert "Traceback" not in err
+
     def test_largest_prime_field_validates(self, line_file, tmp_path):
         text, _ = _mutate(open(line_file).read(), "field =", "field = f2147483647")
         path = tmp_path / "big.nvk"
@@ -288,7 +300,7 @@ class TestInternalLimits:
          "column saturation failed to stabilize"),
         ("cancellation", "DEFAULT_MAX_STEPS", ["validate"],
          "no termination within 0 steps"),
-        ("invariants", "REFINEMENT_ROUNDS", ["scan", "--cycle", "z0"],
+        ("semicontinuity", "REFINEMENT_ROUNDS", ["scan", "--cycle", "z0"],
          "spectral curve failed to stabilize"),
     ], ids=["saturation", "cancellation", "refinement"])
     def test_cap_is_exit_3(self, monkeypatch, capsys, model_file, module, cap,
@@ -329,22 +341,21 @@ class TestPerCommandWork:
             assert not imported & {skips, "novikit.invariants", "novikit.models",
                                    "concurrent.futures"}
 
-    @pytest.mark.parametrize("argv, envelope, halves", [
-        (["validate", "{f}"], False, {"cancellation"}),
-        (["barcode", "{f}", "--t", "1/2"], False, {"reduction"}),
-        (["beta", "{f}", "--t", "1/2"], True, {"reduction"}),
-        (["rho", "{f}", "--cycle", "z0", "--t", "1/2"], True,
-         {"reduction", "cancellation"}),
-        (["scan", "{f}", "--cycle", "z0"], True, {"reduction", "cancellation"}),
-        (["gen", "--seed", "1"], False, set()),
+    @pytest.mark.parametrize("argv, layers", [
+        (["validate", "{f}"], {"cancellation"}),
+        (["barcode", "{f}", "--t", "1/2"], {"reduction"}),
+        (["beta", "{f}", "--t", "1/2"], {"reduction", "invariants"}),
+        (["rho", "{f}", "--cycle", "z0", "--t", "1/2"], {"cancellation", "invariants"}),
+        (["scan", "{f}", "--cycle", "z0"],
+         {"cancellation", "invariants", "semicontinuity", "envelope"}),
+        (["gen", "--seed", "1"], set()),
     ], ids=["validate", "barcode", "beta", "rho", "scan", "gen"])
-    def test_no_command_imports_dataclasses_or_unrun_layers(self, line_file, argv,
-                                                            envelope, halves):
+    def test_no_command_imports_dataclasses_or_unrun_layers(self, line_file, argv, layers):
         imported = self._imports([a.format(f=line_file) for a in argv])
         assert not imported & {"dataclasses", "inspect"}
-        assert ("novikit.envelope" in imported) is envelope
-        assert {m for m in ("reduction", "cancellation")
-                if f"novikit.{m}" in imported} == halves
+        assert {m for m in ("reduction", "cancellation", "invariants", "matching",
+                            "semicontinuity", "envelope")
+                if f"novikit.{m}" in imported} == layers
         if argv[0] == "gen":
             assert "novikit.models" in imported
 
@@ -355,8 +366,9 @@ class TestPerCommandWork:
         assert proc.returncode == 0, proc.stderr
         imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                     if line.startswith("import time:")}
-        assert "novikit.reduction" in imported
-        assert not imported & {"novikit.cancellation", "novikit.models"}
+        assert {"novikit.reduction", "novikit.matching"} <= imported
+        assert not imported & {"novikit.cancellation", "novikit.models", "novikit.envelope",
+                               "novikit.semicontinuity"}
 
     def test_import_novikit_loads_no_submodule(self):
         code = ("import sys, novikit; "
@@ -476,12 +488,88 @@ print("bound")
 """
 
 
+STABILITY_TRACE = """
+import io, sys
+from contextlib import redirect_stdout
+
+import novikit.cli
+
+out = io.StringIO()
+with redirect_stdout(out):
+    assert novikit.cli.main(sys.argv[2:]) == 0
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    fh.write(out.getvalue())
+
+import novikit.matching
+import stability_job
+import tracer
+
+assert "novikit.envelope" not in sys.modules
+spans = tracer.Tracer()
+for _ in range(2):
+    spans.install([stability_job])
+    mark = spans.mark()
+    with redirect_stdout(io.StringIO()):
+        for _ in range(2):
+            assert stability_job.main([sys.argv[1]]) == 0
+    spans.uninstall()
+    assert spans.summary(mark)["invariants.bottleneck.calls"] == 2 * 5
+    assert stability_job.bottleneck is novikit.matching.bottleneck
+print("bound")
+"""
+
+REPLAY_TRACE = """
+import io, sys
+from contextlib import redirect_stdout
+
+import novikit.cli
+import stability_job
+import tracer
+
+path = sys.argv[1]
+
+
+def run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = novikit.cli.main(argv)
+    return code, out.getvalue()
+
+
+def replay():
+    code, text = run(["gen", "--seed", "4", "--model", "random"])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return [(code, text)] + [run(argv) for argv in (
+        ["rho", path, "--cycle", "z0", "--t", "1/2"], ["scan", path, "--cycle", "z0"],
+        ["beta", path, "--t", "0/1,1/2"])]
+
+
+plain = replay()
+spans = tracer.Tracer()
+spans.install([stability_job])
+mark = spans.mark()
+try:
+    replayed = replay()
+finally:
+    spans.uninstall()
+assert replayed == plain, (replayed, plain)
+summary = spans.summary(mark)
+calls = {name: summary.get(name + ".calls", 0)
+         for name in ("invariants.rho", "invariants.scan_semicontinuity",
+                      "invariants.boundary_depth", "envelope.pointwise_min")}
+assert calls["invariants.rho"] == 1 and calls["invariants.scan_semicontinuity"] == 1, calls
+assert calls["invariants.boundary_depth"] == 2 and calls["envelope.pointwise_min"] > 0, calls
+print("replayed")
+"""
+
+
 class TestBenchBinding:
     def test_tracer_binds_on_a_stability_pass(self, tmp_path):
         # What the harness has loaded when it first installs its tracer on
         # the stability workload: an in-process ``gen``, then the stability
         # job.  The tracer reads every traced function from its old module
-        # by name, and needs ``novikit.envelope`` loaded by then.
+        # by name.
         env = _env()
         env["PYTHONPATH"] = os.pathsep.join([BENCH, env["PYTHONPATH"]])
         proc = subprocess.run(
@@ -490,6 +578,29 @@ class TestBenchBinding:
              "--rank", "0", "--slopes=1/2,-1/3"],
             capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "bound\n"), proc.stderr
+
+    def test_tracer_installs_before_envelope_loads(self, tmp_path):
+        # The tracer reads ``envelope.pointwise_min`` after
+        # ``invariants.scan_semicontinuity``, whose alias loads ``envelope``:
+        # a stability pass never loads it before the first install.
+        env = _env()
+        env["PYTHONPATH"] = os.pathsep.join([BENCH, env["PYTHONPATH"]])
+        proc = subprocess.run(
+            [sys.executable, "-c", STABILITY_TRACE, str(tmp_path / "line.nvk"),
+             "gen", "--model", "line", "--seed", "1", "--pairs", "3", "--closed", "1",
+             "--rank", "0", "--slopes=1/2,-1/3"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "bound\n"), proc.stderr
+
+    def test_traced_replay_of_invariant_jobs(self, tmp_path):
+        # The harness's in-process replay: one untraced pass (a ``gen``,
+        # then the jobs) loads what they run, then a traced pass must span
+        # each invariant and print the same output.
+        env = _env()
+        env["PYTHONPATH"] = os.pathsep.join([BENCH, env["PYTHONPATH"]])
+        proc = subprocess.run([sys.executable, "-c", REPLAY_TRACE, str(tmp_path / "model.nvk")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "replayed\n"), proc.stderr
 
 
 class TestCommands:

@@ -20,9 +20,10 @@ from novikit import (
     validate,
 )
 from novikit.complexes import apply_boundary, chain_cleanup
-from novikit.envelope import pointwise_max, pointwise_min, valuation_curve
+from novikit.envelope import pointwise_min
 from novikit.fields import GF2
 from novikit.models import ModelSpec, gen_elementary, gen_random
+from oracles import pointwise_max, valuation_curve
 
 F = Fraction
 

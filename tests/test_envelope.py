@@ -8,23 +8,13 @@ from hypothesis import strategies as st
 from novikit.envelope import (
     EmptyCloud,
     PiecewiseAffine,
-    PointCloud,
-    breakpoints_csv,
-    constant_curve,
-    curve_csv,
     filtration_curve,
-    intercept_from_curve,
-    lambda_to_t,
-    lower_envelope,
     min_intercept,
-    pointwise_max,
     pointwise_min,
     stability_threshold,
     stable_point,
-    t_to_lambda,
-    upper_envelope,
-    valuation_curve,
 )
+from oracles import constant_curve, pointwise_max, valuation_curve
 
 F = Fraction
 
@@ -130,15 +120,6 @@ class TestFiltrationCurve:
         assert curve == constant_curve(0)
 
 
-def test_lambda_substitution_roundtrip():
-    for lam in (F(0), F(1, 3), F(5)):
-        assert t_to_lambda(lambda_to_t(lam)) == lam
-    curve = valuation_curve([(0, 3), (2, 0)])
-    for lam in (F(0), F(1, 2), F(3), F(50)):
-        direct, _ = min_intercept([(0, 3), (2, 0)], lam)
-        assert intercept_from_curve(curve, lam) == direct
-
-
 def test_pointwise_min_max():
     a = valuation_curve([(0, 2)])
     b = valuation_curve([(1, 0)])
@@ -148,14 +129,6 @@ def test_pointwise_min_max():
         t = F(i, 10)
         assert lo(t) == min(a(t), b(t))
         assert hi(t) == max(a(t), b(t))
-
-
-def test_csv_emitters():
-    curve = valuation_curve([(0, 1), (1, 0)])
-    csv = curve_csv(curve, [F(0), F(1, 2), F(1)])
-    assert csv.splitlines() == ["t,value", "0/1,0/1", "1/2,1/2", "1/1,0/1"]
-    bp = breakpoints_csv(curve)
-    assert bp.splitlines() == ["breakpoint", "0/1", "1/2", "1/1"]
 
 
 @settings(max_examples=60)

@@ -24,9 +24,10 @@ from novikit import (
 )
 from novikit.complexes import ContinuationData
 from novikit.fields import GF2, QQ
-from novikit.invariants import MissingContinuation, SpectralError, rho_beta_csv
+from novikit.invariants import SpectralError
 from novikit.models import line_family, gen_elementary, ModelSpec
 from novikit.periods import PeriodSystem
+from novikit.semicontinuity import MissingContinuation
 
 F = Fraction
 SAMPLES = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
@@ -356,17 +357,3 @@ def test_rho_matches_exhaustive_coset_search_rank0():
                     best = min(best, ell(cx, rep, t))
             got = rho(cx, cycle, t)
             assert got.value == best, (seed, name, got.value, best)
-
-
-def test_rho_beta_csv(axes, ring):
-    gens = (CappedGenerator("x", 0, 1, 0), CappedGenerator("y", 1, 3, 0),
-            CappedGenerator("z", 0, 2, -1))
-    matrix = {"y": {"x": ring.one()}}
-    cx = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens,
-                         {s: matrix for s in SAMPLES})
-    csv = rho_beta_csv(cx, basis_chain(cx, "z"), (F(0), F(1, 2)))
-    assert csv.splitlines() == [
-        "t,rho,boundary_depth",
-        "0/1,2/1,2/1",
-        "1/2,3/2,2/1",
-    ]

@@ -24,10 +24,9 @@ from novikit.series import (
     convert_mode,
     min_support_level,
     mode_min_value,
-    normalize_to_zero_valuation,
     try_invert,
 )
-from novikit.envelope import valuation_curve
+from oracles import valuation_curve
 
 B = (0, 1)
 
@@ -190,9 +189,6 @@ def test_min_support_level_and_normalization(ring):
     value, level = min_support_level(x, LexOrder())
     assert value == Rank2Value(1, 1)
     assert level == [(1, 1)]
-    shifted, used = normalize_to_zero_valuation(x)
-    assert used == (1, 1)
-    assert valuation(shifted) == Rank2Value(0, 0)
 
 
 def test_valuation_at_matches_envelope_curve(ring):
