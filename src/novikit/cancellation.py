@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .complexes import Chain, FilteredComplex, chain_cleanup, chain_sub
+from .complexes import Chain, FilteredComplex, apply_matrix, chain_add, chain_cleanup, chain_sub
 from .periods import Exponent, exponent_sub
 from .series import (
     LexOrder,
@@ -38,7 +38,6 @@ from .series import (
     Rank2Value,
     RingMode,
     VALUE_INF,
-    monomial,
 )
 
 DEFAULT_STALL_WINDOW = 8
@@ -194,29 +193,19 @@ def _solve_linear(field, rows: list[list], rhs: list):
 
 def _phi_step(v: Chain, level: list, columns: Sequence[Chain],
               leads: Sequence[tuple], field):
-    """One canonical cancellation: returns (new_v, used) or None at a fixed point.
+    """One canonical cancellation: returns (new_v, step) or None at a fixed point.
 
     ``level`` is the attaining-term list of ``chain_level(v)`` and
-    ``leads[i]`` is ``chain_level(columns[i])``.  ``used`` lists (column
-    index, shift exponent, coefficient) with the subtracted combination
-    sum(c * T^D * column).
+    ``leads[i]`` is ``chain_level(columns[i])``.  ``step`` maps a column
+    index i to the raw coefficient ``{D: c}`` of sum(c * T^D), and
+    ``new_v`` is v minus the sum over i of ``step[i] * columns[i]``.
     """
     level_set = set(level)
     # Candidate shifted columns whose leading part can touch the level.
-    cands: list[tuple[int, Exponent]] = []
-    seen = set()
-    for i, (_, lead) in enumerate(leads):
-        for (cu, b) in lead:
-            for (cv, a) in level:
-                if cu != cv:
-                    continue
-                d = exponent_sub(a, b)
-                if (i, d) not in seen:
-                    seen.add((i, d))
-                    cands.append((i, d))
+    cands = sorted({(i, exponent_sub(a, b)) for i, (_, lead) in enumerate(leads)
+                    for (cu, b) in lead for (cv, a) in level if cu == cv})
     if not cands:
         return None
-    cands.sort(key=lambda t: (t[0], t[1]))
     # Equation index: every level point touched by v or a shifted lead.
     points = set(level)
     contrib: dict[tuple[int, Exponent], dict] = {}
@@ -240,14 +229,13 @@ def _phi_step(v: Chain, level: list, columns: Sequence[Chain],
     sol = _solve_linear(field, rows, rhs)
     if sol is None:
         return None
-    used = [(i, d, c) for (i, d), c in zip(cands, sol) if not field.is_zero(c)]
-    if not used:
+    step: dict[int, dict] = {}
+    for (i, d), c in zip(cands, sol):
+        if not field.is_zero(c):
+            step.setdefault(i, {})[d] = c
+    if not step:
         return None
-    new_v = dict(v)
-    for i, d, c in used:
-        scaled = {k: col.shift(d).scale(c) for k, col in columns[i].items()}
-        new_v = chain_sub(new_v, scaled)
-    return chain_cleanup(new_v), used
+    return chain_sub(v, apply_matrix({i: columns[i] for i in step}, step.items())), step
 
 
 def _cancel(image: "_SaturatedImage", v: Chain, lead: tuple):
@@ -257,8 +245,8 @@ def _cancel(image: "_SaturatedImage", v: Chain, lead: tuple):
     valuation coordinates exit the cutoff window, or at a stall.  Returns
     ``(kind, v, lead, trace, combo, stall)``: the final vector and its
     ``chain_level``, the valuation trace, the cancelled combination
-    sum(c * T^D * expression) in the original column names, and the
-    ``(axis, stabilized)`` pair of a ``diverges-second`` stall.
+    (every step applied to the expressions in the original column names),
+    and the ``(axis, stabilized)`` pair of a ``diverges-second`` stall.
     """
     order, cutoff, ambient = image.order, image.cutoff, image.ambient
     value, level = lead
@@ -275,18 +263,14 @@ def _cancel(image: "_SaturatedImage", v: Chain, lead: tuple):
             return "diverges-second", v, (value, level), trace, combo, stall
         if not image.cols:
             break
-        step = _phi_step(v, level, image.cols, image.leads, ambient.field)
-        if step is None:
+        found = _phi_step(v, level, image.cols, image.leads, ambient.field)
+        if found is None:
             break
-        new_v, used = step
+        new_v, step = found
         new_value, level = chain_level(new_v, image.geom, order)
         if not new_value.is_infinite and order.compare(new_value, value) <= 0:
             raise RuntimeError("cancellation failed to raise the valuation")
-        for i, d, c in used:
-            mono = monomial(ambient.system, ambient.field, ambient.mode, ambient.cutoff, d, c)
-            for name, mult in image.exprs[i].items():
-                contrib = mono * mult
-                combo[name] = combo[name] + contrib if name in combo else contrib
+        combo = chain_add(combo, apply_matrix({i: image.exprs[i] for i in step}, step.items()))
         v, value = new_v, new_value
         if len(trace) > DEFAULT_MAX_STEPS:
             raise RuntimeError(f"no termination within {DEFAULT_MAX_STEPS} steps")
@@ -576,21 +560,11 @@ def matrix_rank_at_cutoff(columns: Mapping[str, Chain], mode: RingMode) -> tuple
         if pivot is None:
             break
         r0, c0, inv = pivot
-        pivcol = work.pop(c0)
+        pivcol = {c0: work.pop(c0)}
         for c in sorted(work):
             col = work[c]
-            if r0 not in col:
-                continue
-            factor = col[r0] * inv
-            for r, e in pivcol.items():
-                upd = col.get(r)
-                upd = (upd - e * factor) if upd is not None else -(e * factor)
-                if upd.is_zero():
-                    col.pop(r, None)
-                else:
-                    col[r] = upd
-            if not col:
-                work.pop(c)
+            if r0 in col:
+                work[c] = chain_sub(col, apply_matrix(pivcol, {c0: col[r0] * inv}))
         for c in list(work):
             work[c].pop(r0, None)
             if not work[c]:

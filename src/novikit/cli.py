@@ -77,6 +77,16 @@ def _fraction_arg(raw: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"bad rational {raw!r}")
 
 
+def _count_arg(raw: str) -> int:
+    try:
+        n = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"negative count {raw!r}")
+    return n
+
+
 def _fraction_list(raw: str) -> list[Fraction]:
     values = [_fraction_arg(x) for x in raw.split(",") if x]
     if not values:
@@ -198,7 +208,8 @@ def cmd_gen(args) -> int:
     elif args.model == "random":
         cx = gen_random(spec)
     elif args.model == "pathological":
-        cx = gen_pathological(cutoff=args.cutoff, field_name=args.field)
+        cx = gen_pathological(cutoff=spec.cutoff, field_name=args.field,
+                              samples=spec.samples)
     else:
         base = gen_elementary(spec)
         slopes = args.slopes or []
@@ -219,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="structural + divergence checks")
     p.add_argument("path")
-    p.add_argument("--grid", type=int, default=0,
+    p.add_argument("--grid", type=_count_arg, default=0,
                    help="number of samples to check (default: all)")
     p.set_defaults(func=cmd_validate)
 

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Iterable, Mapping
 
 from .periods import PeriodSystem
-from .series import INF, ModeMismatch, NovikovElement, RingMode, valuation_at, zero
+from .series import INF, NovikovElement, RingMode, unit, valuation_at, zero
 
 NEG_INF = float("-inf")
 
@@ -231,41 +231,73 @@ def ell_curve(cx: FilteredComplex, chain: Chain):
 
 def apply_boundary(cx: FilteredComplex, s, chain: Chain) -> dict[str, NovikovElement]:
     """Exact matrix-vector product of the s-slice boundary with a chain."""
-    return apply_matrix(cx, cx.boundary_matrix(s), chain)
+    return apply_matrix(cx.boundary_matrix(s), chain)
 
 
-def apply_matrix(cx: FilteredComplex, matrix: Matrix, chain: Chain) -> dict[str, NovikovElement]:
-    out: dict[str, NovikovElement] = {}
-    for col, coeff in chain.items():
-        if coeff.is_zero():
-            continue
+def _same_ring(ring: NovikovElement | None, x: NovikovElement) -> NovikovElement:
+    """``ring``, or ``x`` when there is none yet; ``ModeMismatch`` when
+    ``x`` lives in another ring."""
+    if ring is None:
+        return x
+    if x.system is not ring.system or x.field is not ring.field \
+            or x.mode is not ring.mode or x.cutoff != ring.cutoff:
+        ring._compatible(x)
+    return ring
+
+
+def apply_matrix(matrix: Matrix, chain) -> dict[str, NovikovElement]:
+    """The exact product ``matrix @ chain``: the package's one matrix product.
+
+    ``chain`` is a :data:`Chain`, or ``(column, terms)`` pairs whose terms
+    are a raw ``{exponent: field value}`` coefficient, which is not
+    truncated: only the products are.  Each row's products are summed as
+    raw terms with the field's operations, and one ``NovikovElement`` is
+    built per row.  Truncation keeps a term by its exponent alone, so a
+    row equals the sum of the element products ``entry * coefficient``.
+    Every element multiplied must live in one ring (``ModeMismatch``
+    otherwise).  Zero rows are dropped.
+    """
+    ring = None
+    if isinstance(chain, Mapping):
+        pairs = []
+        for col, coeff in chain.items():
+            if coeff.terms:
+                ring = _same_ring(ring, coeff)
+                pairs.append((col, coeff.terms))
+    else:
+        pairs = chain
+    plus = operator.add
+    sums: dict = {}  # row -> {exponent: field value}
+    for col, terms in pairs:
         for row, entry in matrix.get(col, {}).items():
-            term = entry * coeff
-            out[row] = out[row] + term if row in out else term
-    return chain_cleanup(out)
-
-
-def compose_matrices(cx: FilteredComplex, outer: Matrix, inner: Matrix) -> dict[str, dict[str, NovikovElement]]:
-    """Matrix product outer @ inner, column-major, zero entries dropped."""
-    out: dict[str, dict[str, NovikovElement]] = {}
-    for col, column in inner.items():
-        acc = apply_matrix(cx, outer, column)
-        if acc:
-            out[col] = acc
+            ring = _same_ring(ring, entry)
+            add, mul = entry.field.add, entry.field.mul
+            acc = sums.setdefault(row, {})
+            for a, c in entry.terms.items():
+                for b, d in terms.items():
+                    e = tuple(map(plus, a, b))
+                    acc[e] = add(acc[e], mul(c, d)) if e in acc else mul(c, d)
+    out = {}
+    for row, acc in sums.items():
+        x = ring.like(acc)
+        if x.terms:
+            out[row] = x
     return out
 
 
-def basis_chain(cx: FilteredComplex, name: str) -> dict[str, NovikovElement]:
-    from .series import unit
+def compose_matrices(outer: Matrix, inner: Matrix) -> dict[str, dict[str, NovikovElement]]:
+    """Matrix product outer @ inner, column-major, zero columns dropped."""
+    return {col: acc for col, column in inner.items() if (acc := apply_matrix(outer, column))}
 
+
+def identity_matrix(cx: FilteredComplex) -> dict[str, dict[str, NovikovElement]]:
+    one = unit(cx.system, cx.coefficient_field, cx.mode, cx.cutoff)
+    return {g: {g: one} for g in cx.generator_names}
+
+
+def basis_chain(cx: FilteredComplex, name: str) -> dict[str, NovikovElement]:
     cx.generator(name)
     return {name: unit(cx.system, cx.coefficient_field, cx.mode, cx.cutoff)}
-
-
-def _check_entry_compat(cx: FilteredComplex, entry: NovikovElement) -> None:
-    if entry.system != cx.system or entry.mode is not cx.mode \
-            or entry.cutoff != cx.cutoff or entry.field != cx.coefficient_field:
-        raise ModeMismatch("matrix entry incompatible with complex ring data")
 
 
 def _matrix_violations(cx: FilteredComplex, matrix: Matrix, names: set,
@@ -274,43 +306,23 @@ def _matrix_violations(cx: FilteredComplex, matrix: Matrix, names: set,
     each witness without its sample: dangling columns and rows, grading,
     then square-zero."""
     found: list = []
+    one = unit(cx.system, cx.coefficient_field, cx.mode, cx.cutoff)
     for col, column in matrix.items():
         if col not in names:
             found.append(("dangling-column", (col,)))
             continue
         for row, entry in column.items():
+            _same_ring(one, entry)
             if row not in names:
                 found.append(("dangling-row", (col, row)))
-                continue
-            _check_entry_compat(cx, entry)
-            if degrees[row] != degrees[col] - 1:
+            elif degrees[row] != degrees[col] - 1:
                 found.append(("grading", (col, row)))
-    # Square zero, exactly.  Each row's products are summed as raw
-    # (row, exponent) -> coefficient terms and truncated once: truncation
-    # keeps a term by its exponent alone, so the nonzero rows are those of
-    # apply_matrix applied twice, without a NovikovElement per product.
-    one = _unit(cx)
-    field, keeps, pair = cx.coefficient_field, cx.mode.keeps, cx.system.pair
-    add, mul, zero, plus = field.add, field.mul, field.zero, operator.add
+    # Square zero, exactly: the rows of d(d(col)).
     for col, column in matrix.items():
-        if col not in names:
-            continue
-        for row, entry in column.items():
-            if row not in names:
-                entry._compatible(one)  # as multiplying it by d(col) would
-        sums: dict = {}
-        for mid, entry in column.items():
-            for row, outer in matrix.get(mid, {}).items():
-                if mid not in names or row not in names:
-                    outer._compatible(one)  # the others were checked above
-                for a, c in outer.terms.items():
-                    for b, d in entry.terms.items():
-                        key = (row, tuple(map(plus, a, b)))
-                        sums[key] = add(sums.get(key, zero), mul(c, d))
-        second = sorted({row for (row, e), c in sums.items()
-                         if not field.is_zero(c) and keeps(pair(e), cx.cutoff)})
-        if second:
-            found.append(("square-nonzero", (col, second)))
+        if col in names:
+            second = apply_matrix(matrix, column)
+            if second:
+                found.append(("square-nonzero", (col, sorted(second))))
     return found
 
 
@@ -427,17 +439,6 @@ def validate(cx: FilteredComplex, grid: Iterable | None = None) -> ValidationRep
     return ValidationReport(ok=not violations, violations=violations)
 
 
-def _unit(cx: FilteredComplex) -> NovikovElement:
-    from .series import unit
-
-    return unit(cx.system, cx.coefficient_field, cx.mode, cx.cutoff)
-
-
-def _identity_matrix(cx: FilteredComplex) -> dict[str, dict[str, NovikovElement]]:
-    one = _unit(cx)
-    return {g: {g: one} for g in cx.generator_names}
-
-
 def _matrix_combine(a: Matrix, b: Matrix, combine) -> dict[str, dict[str, NovikovElement]]:
     """Column by column ``combine(a, b)`` (``chain_add`` or ``chain_sub``),
     zero columns dropped."""
@@ -462,27 +463,27 @@ def verify_continuation(cx_s: FilteredComplex, cx_t: FilteredComplex,
     d_s = cx_s.boundary_matrix(data.s_from)
     d_t = cx_t.boundary_matrix(data.s_to)
 
-    lhs = compose_matrices(cx_s, data.phi, d_s)
-    rhs = compose_matrices(cx_s, d_t, data.phi)
+    lhs = compose_matrices(data.phi, d_s)
+    rhs = compose_matrices(d_t, data.phi)
     delta = _matrix_combine(lhs, rhs, chain_sub)
     for col in sorted(delta):
         violations.append(("chain-map-phi", col))
-    lhs = compose_matrices(cx_s, data.psi, d_t)
-    rhs = compose_matrices(cx_s, d_s, data.psi)
+    lhs = compose_matrices(data.psi, d_t)
+    rhs = compose_matrices(d_s, data.psi)
     delta = _matrix_combine(lhs, rhs, chain_sub)
     for col in sorted(delta):
         violations.append(("chain-map-psi", col))
 
-    ident = _identity_matrix(cx_s)
-    psiphi = compose_matrices(cx_s, data.psi, data.phi)
-    homo = _matrix_combine(compose_matrices(cx_s, d_s, data.k_s),
-                           compose_matrices(cx_s, data.k_s, d_s), chain_add)
+    ident = identity_matrix(cx_s)
+    psiphi = compose_matrices(data.psi, data.phi)
+    homo = _matrix_combine(compose_matrices(d_s, data.k_s),
+                           compose_matrices(data.k_s, d_s), chain_add)
     delta = _matrix_combine(_matrix_combine(psiphi, ident, chain_sub), homo, chain_sub)
     for col in sorted(delta):
         violations.append(("homotopy-s", col))
-    phipsi = compose_matrices(cx_s, data.phi, data.psi)
-    homo = _matrix_combine(compose_matrices(cx_s, d_t, data.k_t),
-                           compose_matrices(cx_s, data.k_t, d_t), chain_add)
+    phipsi = compose_matrices(data.phi, data.psi)
+    homo = _matrix_combine(compose_matrices(d_t, data.k_t),
+                           compose_matrices(data.k_t, d_t), chain_add)
     delta = _matrix_combine(_matrix_combine(phipsi, ident, chain_sub), homo, chain_sub)
     for col in sorted(delta):
         violations.append(("homotopy-t", col))

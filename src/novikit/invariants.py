@@ -85,7 +85,7 @@ def _rho_against_matrix(cx: FilteredComplex, matrix, cycle: Chain, t: Fraction,
     cycle = chain_cleanup(cycle)
     if not cycle:
         return SpectralResult(NEG_INF, {}, {}, degenerate=True)
-    closed = apply_matrix(cx, matrix, cycle)
+    closed = apply_matrix(matrix, cycle)
     if closed:
         raise SpectralError("input chain is not a cycle at this parameter")
     degree = _degree_of_chain(cx, cycle)

@@ -27,6 +27,7 @@ from .complexes import (
     _matrix_combine,
     chain_add,
     compose_matrices,
+    identity_matrix,
     validate,
 )
 from .fields import field_by_name
@@ -78,17 +79,24 @@ class ModelSpec:
         for lo, hi in (action_range, length_range, slope_range):
             if Fraction(lo) > Fraction(hi):
                 raise InfeasibleSpec("empty range in spec")
+        samples = tuple(Fraction(s) for s in samples)
+        for s in samples:
+            if not 0 <= s <= 1:
+                raise InfeasibleSpec(f"sample s={s} lies outside [0, 1]")
+        cutoff = Fraction(cutoff)
+        if cutoff <= 0:
+            raise InfeasibleSpec(f"cutoff {cutoff} must be positive")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "n_pairs", n_pairs)
         object.__setattr__(self, "n_closed", n_closed)
         object.__setattr__(self, "lattice_rank", lattice_rank)
-        object.__setattr__(self, "cutoff", Fraction(cutoff))
+        object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "field_name", field_name)
         object.__setattr__(self, "density", Fraction(density))
         object.__setattr__(self, "action_range", action_range)
         object.__setattr__(self, "length_range", length_range)
         object.__setattr__(self, "slope_range", slope_range)
-        object.__setattr__(self, "samples", tuple(Fraction(s) for s in samples))
+        object.__setattr__(self, "samples", samples)
 
     def __setattr__(self, *args):
         raise AttributeError("ModelSpec is immutable")
@@ -192,7 +200,6 @@ def elementary_bars(cx: FilteredComplex, t):
 def _conjugators(spec: ModelSpec, cx: FilteredComplex, basis_seed: int):
     """Per-degree unit-triangular change of basis P and its exact inverse."""
     rng = random.Random(basis_seed)
-    one = unit(cx.system, cx.coefficient_field, cx.mode, cx.cutoff)
     names = list(cx.generator_names)
     degree = {g.name: g.degree for g in cx.generators}
 
@@ -208,20 +215,15 @@ def _conjugators(spec: ModelSpec, cx: FilteredComplex, basis_seed: int):
                 continue
             n_matrix.setdefault(col, {})[row] = entry
 
-    ident = {n: {n: one} for n in names}
+    ident = identity_matrix(cx)
     p = _matrix_combine(ident, n_matrix, chain_add)
-    # (I + N)^-1 = I - N + N^2 - ... ; N is nilpotent (strictly triangular).
-    inv = {n: {n: one} for n in names}
-    power = {c: dict(col) for c, col in n_matrix.items()}
-    sign = -1
-    for _ in range(len(names)):
-        if not power:
-            break
-        signed = {c: {r: (e if sign > 0 else -e) for r, e in col.items()}
-                  for c, col in power.items()}
-        inv = _matrix_combine(inv, signed, chain_add)
-        power = compose_matrices(cx, n_matrix, power)
-        sign = -sign
+    # (I + N)^-1 = I - N + N^2 - ... ; N is strictly triangular within each
+    # degree, so nilpotent, and the powers of -N reach zero.
+    neg = {c: {r: -e for r, e in col.items()} for c, col in n_matrix.items()}
+    inv, power = ident, neg
+    while power:
+        inv = _matrix_combine(inv, power, chain_add)
+        power = compose_matrices(neg, power)
     return p, inv
 
 
@@ -260,7 +262,7 @@ def gen_random(spec: ModelSpec, basis_seed: int | None = None) -> FilteredComple
         basis_seed = spec.seed + 1000003
     p, pinv = _conjugators(spec, base, basis_seed)
     d = base.boundary_matrix(base.samples[0])
-    conj = compose_matrices(base, p, compose_matrices(base, d, pinv))
+    conj = compose_matrices(p, compose_matrices(d, pinv))
     return FilteredComplex(base.system, base.coefficient_field, base.mode,
                            base.cutoff, base.generators,
                            dict.fromkeys(base.samples, conj))
@@ -339,8 +341,7 @@ def line_family(base: FilteredComplex, slopes, alpha_norm=1) -> FilteredComplex:
     if not report:
         raise InfeasibleSpec(
             f"tilt breaks strict filtration decrease: {report.violations[:3]}")
-    one = unit(base.system, base.coefficient_field, base.mode, base.cutoff)
-    ident = {n: {n: one} for n in base.generator_names}
+    ident = identity_matrix(base)
     conts = []
     for s in cx.samples:
         if s == 0:

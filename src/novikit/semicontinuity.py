@@ -95,7 +95,7 @@ def _pushforward(cx: FilteredComplex, t: Fraction, cycle: Chain,
         raise MissingContinuation(
             f"no continuation data from 0 to {t} for a differing boundary slice"
         )
-    return apply_matrix(cx, data.phi, cycle)
+    return apply_matrix(data.phi, cycle)
 
 
 def _pullback_level(cx, columns, witness_t, witness_0, cutoff):
@@ -202,7 +202,7 @@ def scan_semicontinuity(cx: FilteredComplex, cycle: Chain, grid: Iterable,
         w0 = witnesses[Fraction(0)]
         for t in grid[1:]:
             data = _continuation_from_zero(cx, t)
-            pulled = witnesses[t] if data is None else apply_matrix(cx, data.psi, witnesses[t])
+            pulled = witnesses[t] if data is None else apply_matrix(data.psi, witnesses[t])
             witness_levels[t] = _pullback_level(cx, columns, pulled, w0, cutoff)
 
     usc = right_limit <= value_at_zero

@@ -364,7 +364,7 @@ def _oracle_boundary_depth(cx, t, box=6):
             chain = chain_cleanup(chain)
             if not chain:
                 continue
-            image = apply_matrix(cx, matrix, chain)
+            image = apply_matrix(matrix, chain)
             if not image:
                 continue
             key = tuple(sorted((k, frozenset(v.terms.items()))

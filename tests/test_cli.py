@@ -197,6 +197,30 @@ class TestInputContract:
         assert f"error: argument {argv[-2]}: empty rational list ','" in err
         assert "Traceback" not in err
 
+    def test_negative_grid_is_usage_error(self, model_file):
+        # It used to check no sample and print "OK 0 samples validated".
+        code, out, err = run_cli(["validate", model_file, "--grid", "-1"])
+        assert (code, out) == (2, "")
+        assert "error: argument --grid: negative count '-1'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--samples", "0,3/2"], "sample s=3/2 lies outside [0, 1]"),
+        (["--samples=-1/2,0"], "sample s=-1/2 lies outside [0, 1]"),
+        (["--cutoff", "0"], "cutoff 0 must be positive"),
+        (["--cutoff", "-1"], "cutoff -1 must be positive"),
+        (["--model", "pathological", "--samples", "0,2"], "sample s=2 lies outside [0, 1]"),
+    ], ids=["sample-above-1", "sample-below-0", "cutoff-0", "cutoff-negative",
+            "pathological-sample"])
+    def test_gen_writes_no_file_parse_rejects(self, argv, message):
+        code, out, err = run_cli(["gen", *argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_gen_pathological_takes_samples(self):
+        code, out, err = run_cli(["gen", "--model", "pathological", "--samples", "0,1/2"])
+        assert (code, err) == (0, "")
+        assert parse(out).samples == (F(0), F(1, 2))
+
     def test_largest_prime_field_validates(self, line_file, tmp_path):
         text, _ = _mutate(open(line_file).read(), "field =", "field = f2147483647")
         path = tmp_path / "big.nvk"
@@ -386,6 +410,28 @@ class TestPerCommandWork:
         assert set(novikit.__all__) <= set(dir(novikit))
         with pytest.raises(AttributeError):
             novikit.no_such_name
+
+    def test_no_element_products_on_the_hot_paths(self, monkeypatch, capsys, tmp_path):
+        # apply_matrix is the one matrix product and sums raw terms: gen,
+        # validate, rho and scan multiply no two NovikovElements.
+        from novikit.series import NovikovElement
+
+        calls = []
+        mul = NovikovElement.__mul__
+        monkeypatch.setattr(NovikovElement, "__mul__",
+                            lambda x, y: calls.append(1) or mul(x, y))
+        files = {}
+        for name, argv in (("random", ["--seed", "4", "--model", "random", "--pairs", "3"]),
+                           ("line", ["--seed", "1", "--model", "line", "--pairs", "2",
+                                     "--rank", "0", "--slopes", "1/8,-1/8"])):
+            assert main(["gen", *argv]) == 0
+            files[name] = tmp_path / f"{name}.nvk"
+            files[name].write_text(capsys.readouterr().out)
+        for path in map(str, files.values()):
+            for argv in (["validate", path], ["rho", path, "--cycle", "z0", "--t", "1/2"],
+                         ["scan", path, "--cycle", "z0"]):
+                assert main(argv) == 0, capsys.readouterr()
+        assert calls == []
 
     @staticmethod
     def _count_checks(monkeypatch):

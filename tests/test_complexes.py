@@ -16,10 +16,11 @@ from novikit import (
     validate,
     verify_continuation,
 )
-from novikit.complexes import StructureError, apply_matrix
-from novikit.fields import GF2, QQ
+from novikit.complexes import StructureError, apply_matrix, compose_matrices
+from novikit.fields import GF2, QQ, field_by_name
 from novikit.models import ModelSpec, gen_elementary, gen_random, line_family
-from novikit.series import NovikovElement
+from novikit.series import ModeMismatch, NovikovElement
+from oracles import reference_product
 
 F = Fraction
 SAMPLES = (F(0), F(1, 2), F(1))
@@ -310,13 +311,13 @@ class TestFiltrationOracle:
 
 
 def _reference_square(cx, s):
-    """The square-zero violations of ``validate`` at s, from ``apply_matrix``
-    applied twice to each generator."""
+    """The square-zero violations of ``validate`` at s, from the element
+    product applied twice to each generator."""
     matrix, names = cx.boundaries[s], set(cx.generator_names)
     found = []
     for col in matrix:
         if col in names:
-            second = apply_matrix(cx, matrix, apply_matrix(cx, matrix, basis_chain(cx, col)))
+            second = reference_product(matrix, reference_product(matrix, basis_chain(cx, col)))
             if second:
                 found.append(("square-nonzero", (s, col, sorted(second))))
     return found
@@ -358,3 +359,87 @@ class TestSquareZeroOracle:
             for s in cx.samples:
                 assert _reference_square(cx, s) == []
             assert not [v for v in validate(cx).violations if v[0] == "square-nonzero"]
+
+
+class TestProductOracle:
+    """``apply_matrix`` and ``compose_matrices``, which sum raw products and
+    build one element per row, against ``NovikovElement`` ``*`` and ``+``."""
+
+    NAMES = ("a", "b", "c", "d")
+
+    @staticmethod
+    def _element(rng, axes, field, mode):
+        # Coordinates in [-1, 3] against cutoff 2: every mode keeps some
+        # products and drops others.
+        terms = {(rng.randint(-1, 3), rng.randint(-1, 3)): field.sample_nonzero(rng)
+                 for _ in range(rng.randint(0, 3))}
+        return NovikovElement(axes, field, mode, F(2), terms)
+
+    def _matrix(self, rng, axes, field, mode):
+        return {c: {r: self._element(rng, axes, field, mode)
+                    for r in rng.sample(self.NAMES, rng.randint(0, 3))}
+                for c in rng.sample(self.NAMES, rng.randint(0, 4))}
+
+    @pytest.mark.parametrize("field", [GF2, field_by_name("f3"), QQ], ids=["f2", "f3", "q"])
+    @pytest.mark.parametrize("mode", list(RingMode), ids=[m.value for m in RingMode])
+    def test_random_products(self, axes, field, mode):
+        rng = random.Random(11)
+        kept = dropped = cancelled = 0
+        for _ in range(80):
+            matrix, inner = (self._matrix(rng, axes, field, mode) for _ in range(2))
+            chain = {c: e for c in rng.sample(self.NAMES, rng.randint(0, 4))
+                     if not (e := self._element(rng, axes, field, mode)).is_zero()}
+            got, want = apply_matrix(matrix, chain), reference_product(matrix, chain)
+            assert list(got.items()) == list(want.items())  # rows in the same order
+            assert apply_matrix(matrix, [(c, x.terms) for c, x in chain.items()]) == want
+            composed = {c: p for c, col in inner.items() if (p := reference_product(matrix, col))}
+            assert compose_matrices(matrix, inner) == composed
+            for c, x in chain.items():
+                for entry in matrix.get(c, {}).values():
+                    for a in entry.terms:
+                        for b in x.terms:
+                            pair = axes.pair((a[0] + b[0], a[1] + b[1]))
+                            if mode.keeps(pair, F(2)):
+                                kept += 1
+                            else:
+                                dropped += 1
+            rows = {r for c in chain for r in matrix.get(c, {})}
+            cancelled += len(rows) - len(want)
+        assert kept and dropped and cancelled
+
+    def test_empty_chains_and_columns(self, ring):
+        one = ring.one()
+        assert apply_matrix({"a": {"b": one}}, {}) == {}
+        assert apply_matrix({}, {"a": one}) == {}
+        assert apply_matrix({"a": {}}, {"a": one}) == {}
+        assert apply_matrix({"a": {"b": one}}, {"a": ring.zero()}) == {}
+        assert compose_matrices({"a": {"b": one}}, {"x": {}, "y": {"c": one}}) == {}
+
+    def test_raw_coefficient_truncates_only_the_products(self, ring):
+        # T^(12,12) lies above the cutoff 10; its product with T^(-5,-5)
+        # does not, its product with T^(1,1) does.
+        entry = ring.mono((-5, -5)) + ring.mono((1, 1))
+        got = apply_matrix({"a": {"b": entry}}, [("a", {(12, 12): 1})])
+        assert got == {"b": entry.shift((12, 12))} == {"b": ring.mono((7, 7))}
+
+    @pytest.mark.parametrize("other", [
+        {"mode": RingMode.OMEGA0}, {"field": QQ}, {"cutoff": F(9)},
+    ], ids=["mode", "field", "cutoff"])
+    def test_mixed_rings_raise(self, ring, other):
+        one, alien = ring.one(), ring.one(**other)
+        for matrix, chain in (({"a": {"b": one}}, {"a": alien}),
+                              ({"a": {"b": one}, "c": {"b": alien}}, {"a": one, "c": one})):
+            for product in (apply_matrix, reference_product):
+                with pytest.raises(ModeMismatch):
+                    product(matrix, chain)
+
+    @pytest.mark.parametrize("where", ["row", "dangling-row", "reached-dangling-column"])
+    def test_validate_rejects_an_entry_of_another_ring(self, axes, ring, where):
+        gens = (CappedGenerator("a", 0, 0, 0), CappedGenerator("b", 1, 1, 0))
+        one, alien = ring.one(), ring.one(mode=RingMode.OMEGA1)
+        matrix = {"row": {"b": {"a": alien}},
+                  "dangling-row": {"b": {"a": one, "ghost": alien}},
+                  "reached-dangling-column": {"b": {"a": one, "ghost": one},
+                                              "ghost": {"a": alien}}}[where]
+        with pytest.raises(ModeMismatch):
+            validate(make_complex(axes, gens, matrix))

@@ -88,7 +88,7 @@ class TestRho:
             from novikit.complexes import apply_matrix, chain_add
             recon = chain_add(res.witness, res.boundary)
             assert recon == basis_chain(cx, "x")
-            assert apply_matrix(cx, matrix, res.witness) == {}
+            assert apply_matrix(matrix, res.witness) == {}
 
     def test_divergence_propagates(self):
         from novikit.models import gen_pathological
@@ -352,7 +352,7 @@ def test_rho_matches_exhaustive_coset_search_rank0():
                 chain = {n: one for n, p in zip(deg1, picks) if p}
                 if not chain:
                     continue
-                rep = chain_add(cycle, apply_matrix(cx, matrix, chain))
+                rep = chain_add(cycle, apply_matrix(matrix, chain))
                 if rep:
                     best = min(best, ell(cx, rep, t))
             got = rho(cx, cycle, t)

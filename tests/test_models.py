@@ -72,6 +72,15 @@ class TestGenElementary:
             ModelSpec(n_pairs=0, n_closed=0)
 
 
+    @pytest.mark.parametrize("kwargs", [
+        {"samples": (F(0), F(3, 2))}, {"samples": (F(-1, 2), F(0))},
+        {"cutoff": F(0)}, {"cutoff": F(-1)},
+    ], ids=["sample-above-1", "sample-below-0", "cutoff-0", "cutoff-negative"])
+    def test_spec_rejects_what_parse_rejects(self, kwargs):
+        with pytest.raises(InfeasibleSpec):
+            ModelSpec(**kwargs)
+
+
 class TestGenRandom:
     def test_density_zero_is_elementary(self):
         spec = ModelSpec(seed=4, density=0)
