@@ -14,12 +14,11 @@ _EXPORTS = {
                 "period_at", "period_pair", "ray_finite_for",
                 "ray_finite_interval"),
     "series": ("INF", "LexOrder", "ModeMismatch", "NovikovElement",
-               "Rank2Value", "RingMode", "TWeightedOrder", "VALUE_INF", "add",
+               "NovikovRing", "Rank2Value", "RingMode", "TWeightedOrder", "VALUE_INF", "add",
                "compare_lex", "compare_t_weighted", "monomial", "mul",
                "render_element", "unit", "valuation", "valuation_at", "zero"),
     "envelope": ("PiecewiseAffine", "PointCloud", "filtration_curve",
-                 "lower_envelope", "min_intercept", "stable_point",
-                 "stability_threshold", "upper_envelope"),
+                 "lower_envelope", "upper_envelope"),
     "complexes": ("CappedGenerator", "ContinuationData", "FilteredComplex",
                   "NEG_INF", "apply_boundary", "basis_chain", "ell",
                   "ell_curve", "validate", "verify_continuation"),

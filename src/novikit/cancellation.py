@@ -28,6 +28,7 @@ image (:class:`_SaturatedImage`) and each vector cancelled against it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .complexes import Chain, FilteredComplex, apply_matrix, chain_add, chain_cleanup, chain_sub
@@ -35,9 +36,13 @@ from .periods import Exponent, exponent_sub
 from .series import (
     LexOrder,
     NovikovElement,
+    NovikovRing,
     Rank2Value,
     RingMode,
     VALUE_INF,
+    convert_mode,
+    try_invert,
+    unit,
 )
 
 DEFAULT_STALL_WINDOW = 8
@@ -92,38 +97,45 @@ class ReductionOutcome:
 
 
 class TermGeometry:
-    """Valuation geometry of chain terms, with optional action offsets.
+    """Valuation geometry of chain terms, as ints, with optional action offsets.
 
     A term is a (component, exponent) pair; its value pair is the
     exponent's period pair minus the component's offset pair.  Offsets
     turn the plain valuation into the filtration-aware one used by the
     spectral minimization: minimizing the filtration level is maximizing
-    the offset valuation of the residual.
+    the offset valuation of the residual.  Value pairs are ints over
+    ``scale``, the lcm of the ring's scale and the offset denominators.
     """
 
-    def __init__(self, system, offsets: Mapping[str, tuple[Fraction, Fraction]] | None = None):
-        self.system = system
-        self.offsets = dict(offsets or {})
+    def __init__(self, ring: NovikovRing, offsets: Mapping[str, tuple] | None = None):
+        offsets = dict(offsets or {})
+        scale = lcm(ring.scale, *(Fraction(x).denominator for off in offsets.values() for x in off))
+        self.ring, self.scale = ring, scale
+        self._lift = scale // ring.scale
+        self.offsets = {comp: (int(o0 * scale), int(o1 * scale))
+                        for comp, (o0, o1) in offsets.items()}
 
-    def pair(self, comp: str, exponent: Exponent) -> tuple[Fraction, Fraction]:
-        g0, g1 = self.system.pair(exponent)
+    def pair(self, comp: str, exponent: Exponent) -> tuple[int, int]:
+        g0, g1 = self.ring.ipair(exponent)
+        k = self._lift
         off = self.offsets.get(comp)
         if off is None:
-            return (g0, g1)
-        return (g0 - off[0], g1 - off[1])
+            return (g0 * k, g1 * k)
+        return (g0 * k - off[0], g1 * k - off[1])
 
 
 def chain_level(chain: Chain, geom: TermGeometry, order):
     """Order-minimal value pair of a chain and the attaining terms.
 
     Returns ``(Rank2Value, [(component, exponent), ...])``; the value is
-    fully infinite exactly for the zero chain.
+    fully infinite exactly for the zero chain.  Keys and pairs are the
+    geometry's ints; only the result is a ``Rank2Value``.
     """
+    pair, key = geom.pair, order.key
     best_key = None
     for comp in chain:
-        coeff = chain[comp]
-        for a in coeff.terms:
-            k = order.key(geom.pair(comp, a))
+        for a in chain[comp].terms:
+            k = key(pair(comp, a))
             if best_key is None or k < best_key:
                 best_key = k
     if best_key is None:
@@ -131,14 +143,14 @@ def chain_level(chain: Chain, geom: TermGeometry, order):
     level = []
     best_pair = None
     for comp in sorted(chain):
-        coeff = chain[comp]
-        for a in sorted(coeff.terms):
-            p = geom.pair(comp, a)
-            if order.key(p) == best_key:
+        for a in sorted(chain[comp].terms):
+            p = pair(comp, a)
+            if key(p) == best_key:
                 level.append((comp, a))
                 if best_pair is None or p < best_pair:
                     best_pair = p
-    return Rank2Value(*best_pair), level
+    return Rank2Value(Fraction(best_pair[0], geom.scale),
+                      Fraction(best_pair[1], geom.scale)), level
 
 
 def normalize_columns(columns: Sequence[Chain]) -> list[dict[str, NovikovElement]]:
@@ -147,7 +159,7 @@ def normalize_columns(columns: Sequence[Chain]) -> list[dict[str, NovikovElement
     for col in columns:
         col = chain_cleanup(col)
         if col:
-            geom = TermGeometry(next(iter(col.values())).system)
+            geom = TermGeometry(next(iter(col.values())).ring)
             _, level = chain_level(col, geom, LexOrder())
             neg = tuple(-c for c in level[0][1])
             col = chain_cleanup({k: v.shift(neg) for k, v in col.items()})
@@ -248,7 +260,7 @@ def _cancel(image: "_SaturatedImage", v: Chain, lead: tuple):
     (every step applied to the expressions in the original column names),
     and the ``(axis, stabilized)`` pair of a ``diverges-second`` stall.
     """
-    order, cutoff, ambient = image.order, image.cutoff, image.ambient
+    order, cutoff = image.order, image.cutoff
     value, level = lead
     trace: list[Rank2Value] = []
     combo: dict[str, NovikovElement] = {}
@@ -263,7 +275,7 @@ def _cancel(image: "_SaturatedImage", v: Chain, lead: tuple):
             return "diverges-second", v, (value, level), trace, combo, stall
         if not image.cols:
             break
-        found = _phi_step(v, level, image.cols, image.leads, ambient.field)
+        found = _phi_step(v, level, image.cols, image.leads, image.geom.ring.field)
         if found is None:
             break
         new_v, step = found
@@ -284,9 +296,9 @@ class _SaturatedImage:
     writes ``cols[i]`` in the original columns, and ``leads[i]`` is
     ``chain_level(cols[i])``, computed once and recomputed only when that
     column changes.  None of it depends on the vector being cancelled, so
-    one instance serves any number of :meth:`cancel` runs.  The ambient
-    ring (system, field, mode, truncation) is read from the first column;
-    without columns, each vector's period system gives its valuations.
+    one instance serves any number of :meth:`cancel` runs.  The ring is
+    read from the first column; without columns, each vector's ring gives
+    its valuations.
     Columns must be normalized (valuation the zero pair) unless
     ``offsets`` are given.
     """
@@ -305,13 +317,13 @@ class _SaturatedImage:
         self.order = order
         self.cutoff = cutoff
         self.offsets = offsets
-        self.ambient = self.geom = None
+        self.geom = None
         self.cols, self.exprs, self.leads = [], [], []
         if not cols:
             return
-        ambient = self.ambient = next(iter(cols[0].values()))
-        geom = self.geom = TermGeometry(ambient.system, offsets)
-        one = ambient.like({(0,) * ambient.system.rank: ambient.field.one})
+        ring = next(iter(cols[0].values())).ring
+        geom = self.geom = TermGeometry(ring, offsets)
+        one = unit(ring)
         self.leads = [chain_level(c, geom, order) for c in cols]
         if offsets is None:
             for value, _ in self.leads:
@@ -359,7 +371,7 @@ class _SaturatedImage:
         v = chain_cleanup(v)
         geom = self.geom
         if geom is None and v:
-            geom = TermGeometry(next(iter(v.values())).system, self.offsets)
+            geom = TermGeometry(next(iter(v.values())).ring, self.offsets)
         kind, rest, _, trace, combo, stall = _cancel(self, v, chain_level(v, geom, self.order))
         combo = chain_cleanup(combo)
         outcome = ReductionOutcome(kind, chain_sub(v, rest), rest, tuple(trace), combo)
@@ -479,9 +491,9 @@ def _divergence_probes(columns):
         for comp in sorted(col):
             coeff = col[comp]
             for a in sorted(coeff.terms):
-                probes.append({comp: coeff.like({a: coeff.terms[a]})})
+                probes.append({comp: coeff.ring.element({a: coeff.terms[a]})})
     rng = _random.Random(0)
-    ambient = next(iter(norm_cols[0].values()))
+    ring = next(iter(norm_cols[0].values())).ring
     support = sorted({(comp, a) for col in norm_cols for comp in col
                       for a in col[comp].terms})
     for _ in range(4):
@@ -490,8 +502,8 @@ def _divergence_probes(columns):
         # once; adding monomials one by one would rebuild it per term.
         terms: dict[str, dict] = {}
         for comp, a in picks:
-            terms.setdefault(comp, {})[a] = ambient.field.sample_nonzero(rng)
-        probes.append(chain_cleanup({comp: ambient.like(t) for comp, t in terms.items()}))
+            terms.setdefault(comp, {})[a] = ring.field.sample_nonzero(rng)
+        probes.append({comp: ring.element(t) for comp, t in terms.items()})
     return norm_cols, probes
 
 
@@ -535,8 +547,6 @@ def matrix_rank_at_cutoff(columns: Mapping[str, Chain], mode: RingMode) -> tuple
     nonzero entries then set the stuck flag (the operator's image is not
     spanned by unit pivots — the mode sees genuinely smaller rank).
     """
-    from .series import convert_mode, try_invert
-
     work: dict[str, dict[str, NovikovElement]] = {}
     for c, col in columns.items():
         clean = {}

@@ -16,8 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
 
-from .periods import PeriodSystem
-from .series import INF, NovikovElement, RingMode, unit, valuation_at, zero
+from .series import INF, NovikovElement, NovikovRing, unit, valuation_at, zero
 
 NEG_INF = float("-inf")
 
@@ -98,19 +97,16 @@ class ValidationReport:
 class FilteredComplex:
     """Graded free module with a sampled family of boundary operators.
 
-    The stored boundaries are canonical: no entry is zero, no column is
-    empty, and samples with equal operators share one matrix, so consumers
-    test "same operator" with ``is``.
+    Every entry lives in ``ring``.  The stored boundaries are canonical:
+    no entry is zero, no column is empty, and samples with equal operators
+    share one matrix, so consumers test "same operator" with ``is``.
     """
 
-    __slots__ = ("system", "coefficient_field", "mode", "cutoff", "generators",
-                 "boundaries", "continuations", "_by_name")
+    __slots__ = ("ring", "generators", "boundaries", "continuations", "_by_name")
 
-    def __init__(self, system: PeriodSystem, coefficient_field, mode: RingMode,
-                 cutoff, generators: Iterable[CappedGenerator],
+    def __init__(self, ring: NovikovRing, generators: Iterable[CappedGenerator],
                  boundaries: Mapping[Fraction, Matrix],
                  continuations: Iterable[ContinuationData] = ()):
-        cutoff = Fraction(cutoff)
         generators = tuple(generators)
         by_name = {g.name: g for g in generators}
         if len(by_name) != len(generators):
@@ -131,10 +127,7 @@ class FilteredComplex:
                 canon = next((c for _, c in seen if c == canon), canon)
                 seen.append((m, canon))
             bd[Fraction(s)] = canon
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "coefficient_field", coefficient_field)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "boundaries", bd)
         object.__setattr__(self, "continuations", tuple(continuations))
@@ -142,6 +135,18 @@ class FilteredComplex:
 
     def __setattr__(self, *args):
         raise AttributeError("FilteredComplex is immutable")
+
+    @property
+    def system(self):
+        return self.ring.system
+
+    @property
+    def coefficient_field(self):
+        return self.ring.field
+
+    @property
+    def cutoff(self) -> Fraction:
+        return self.ring.cutoff
 
     @property
     def generator_names(self) -> tuple[str, ...]:
@@ -164,7 +169,7 @@ class FilteredComplex:
         return self.boundaries[s]
 
     def zero_coeff(self) -> NovikovElement:
-        return zero(self.system, self.coefficient_field, self.mode, self.cutoff)
+        return zero(self.ring)
 
     def action_at(self, name: str, t) -> Fraction:
         return self.generator(name).action_at(t)
@@ -218,11 +223,13 @@ def ell_curve(cx: FilteredComplex, chain: Chain):
     from .envelope import filtration_curve
 
     actions = []
+    scale = cx.ring.scale
     for name, coeff in chain.items():
         if coeff.is_zero():
             continue
         g = cx.generator(name)
-        pts = [cx.system.pair(a) for a in coeff.terms]
+        pts = [(Fraction(g0, scale), Fraction(g1, scale))
+               for g0, g1 in map(cx.ring.ipair, coeff.terms)]
         actions.append(((g.action0, g.action_slope), pts))
     if not actions:
         raise ValueError("zero chain has no filtration curve")
@@ -232,17 +239,6 @@ def ell_curve(cx: FilteredComplex, chain: Chain):
 def apply_boundary(cx: FilteredComplex, s, chain: Chain) -> dict[str, NovikovElement]:
     """Exact matrix-vector product of the s-slice boundary with a chain."""
     return apply_matrix(cx.boundary_matrix(s), chain)
-
-
-def _same_ring(ring: NovikovElement | None, x: NovikovElement) -> NovikovElement:
-    """``ring``, or ``x`` when there is none yet; ``ModeMismatch`` when
-    ``x`` lives in another ring."""
-    if ring is None:
-        return x
-    if x.system is not ring.system or x.field is not ring.field \
-            or x.mode is not ring.mode or x.cutoff != ring.cutoff:
-        ring._compatible(x)
-    return ring
 
 
 def apply_matrix(matrix: Matrix, chain) -> dict[str, NovikovElement]:
@@ -262,7 +258,8 @@ def apply_matrix(matrix: Matrix, chain) -> dict[str, NovikovElement]:
         pairs = []
         for col, coeff in chain.items():
             if coeff.terms:
-                ring = _same_ring(ring, coeff)
+                ring = ring or coeff.ring
+                ring.check(coeff.ring)
                 pairs.append((col, coeff.terms))
     else:
         pairs = chain
@@ -270,18 +267,21 @@ def apply_matrix(matrix: Matrix, chain) -> dict[str, NovikovElement]:
     sums: dict = {}  # row -> {exponent: field value}
     for col, terms in pairs:
         for row, entry in matrix.get(col, {}).items():
-            ring = _same_ring(ring, entry)
-            add, mul = entry.field.add, entry.field.mul
+            ring = ring or entry.ring
+            ring.check(entry.ring)
+            add, mul = ring.field.add, ring.field.mul
             acc = sums.setdefault(row, {})
             for a, c in entry.terms.items():
                 for b, d in terms.items():
                     e = tuple(map(plus, a, b))
                     acc[e] = add(acc[e], mul(c, d)) if e in acc else mul(c, d)
     out = {}
-    for row, acc in sums.items():
-        x = ring.like(acc)
-        if x.terms:
-            out[row] = x
+    if sums:
+        keeps, is_zero = ring.keeps, ring.field.is_zero
+        for row, acc in sums.items():
+            terms = {e: c for e, c in acc.items() if not is_zero(c) and keeps(e)}
+            if terms:
+                out[row] = ring.element(terms)
     return out
 
 
@@ -291,13 +291,13 @@ def compose_matrices(outer: Matrix, inner: Matrix) -> dict[str, dict[str, Noviko
 
 
 def identity_matrix(cx: FilteredComplex) -> dict[str, dict[str, NovikovElement]]:
-    one = unit(cx.system, cx.coefficient_field, cx.mode, cx.cutoff)
+    one = unit(cx.ring)
     return {g: {g: one} for g in cx.generator_names}
 
 
 def basis_chain(cx: FilteredComplex, name: str) -> dict[str, NovikovElement]:
     cx.generator(name)
-    return {name: unit(cx.system, cx.coefficient_field, cx.mode, cx.cutoff)}
+    return {name: unit(cx.ring)}
 
 
 def _matrix_violations(cx: FilteredComplex, matrix: Matrix, names: set,
@@ -306,13 +306,12 @@ def _matrix_violations(cx: FilteredComplex, matrix: Matrix, names: set,
     each witness without its sample: dangling columns and rows, grading,
     then square-zero."""
     found: list = []
-    one = unit(cx.system, cx.coefficient_field, cx.mode, cx.cutoff)
     for col, column in matrix.items():
         if col not in names:
             found.append(("dangling-column", (col,)))
             continue
         for row, entry in column.items():
-            _same_ring(one, entry)
+            cx.ring.check(entry.ring)
             if row not in names:
                 found.append(("dangling-row", (col, row)))
             elif degrees[row] != degrees[col] - 1:
@@ -326,57 +325,43 @@ def _matrix_violations(cx: FilteredComplex, matrix: Matrix, names: set,
     return found
 
 
-class _IntLevels:
-    """The affine filtration levels of a complex's terms, scaled to ints.
+def _int_actions(cx: FilteredComplex) -> tuple[int, dict]:
+    """``(scale, {name: (action0, action_slope)})``, the actions as ints over
+    ``scale``: the lcm of the ring's scale and the action denominators, so
+    that ``scale // cx.ring.scale`` puts every ``ipair`` on it too."""
+    scale = lcm(cx.ring.scale, *(x.denominator for g in cx.generators
+                                 for x in (g.action0, g.action_slope)))
+    return scale, {g.name: (int(g.action0 * scale), int(g.action_slope * scale))
+                   for g in cx.generators}
+
+
+def _level_table(cx: FilteredComplex, matrix: Matrix, actions: dict, k: int) -> dict:
+    """Column -> (own constant, own slope, term levels) for every column of
+    a generator, on the ints of ``_int_actions`` (``k`` lifts an ``ipair``
+    to its scale).
 
     At parameter s a term T^A of the entry in row r has level
     ``eta_r(s) - ((1-s)*omega0(A) + s*omega1(A))``, which is
-    ``(action0_r - omega0(A)) + s*(slope_r + omega0(A) - omega1(A))``.
-    Every action and period is a multiple of ``1/denom``, the lcm of their
-    denominators, so both coefficients are ints over ``denom``.
-    """
-
-    __slots__ = ("denom", "actions", "omega0", "omega1", "_periods")
-
-    def __init__(self, cx: FilteredComplex):
-        system = cx.system
-        values = [*system.omega0, *system.omega1]
-        for g in cx.generators:
-            values += (g.action0, g.action_slope)
-        denom = lcm(*(v.denominator for v in values))
-        self.denom = denom
-        self.actions = {g.name: (int(g.action0 * denom), int(g.action_slope * denom))
-                        for g in cx.generators}
-        self.omega0 = [int(w * denom) for w in system.omega0]
-        self.omega1 = [int(w * denom) for w in system.omega1]
-        self._periods: dict = {}  # exponent -> (omega0, omega0 - omega1), scaled
-
-    def table(self, matrix: Matrix) -> dict:
-        """Column -> (own constant, own slope, term levels) for every
-        column of a generator: the scaled (constant, slope) of the column's
-        action and of every term of its entries in rows that name a
-        generator.  This is all the filtration check needs at any sample.
-        A row that names no generator is reported as ``dangling-row`` and
-        has no level."""
-        actions, periods = self.actions, self._periods
-        table = {}
-        for col, column in matrix.items():
-            if col not in actions:
+    ``(action0_r - omega0(A)) + s*(slope_r + omega0(A) - omega1(A))``;
+    the table holds that constant and slope for every term of an entry in
+    a row that names a generator, which is all the filtration check needs
+    at any sample.  A row that names no generator is reported as
+    ``dangling-row`` and has no level."""
+    ipair = cx.ring.ipair
+    table = {}
+    for col, column in matrix.items():
+        if col not in actions:
+            continue
+        levels = []
+        for row, entry in column.items():
+            if row not in actions:
                 continue
-            levels = []
-            for row, entry in column.items():
-                if row not in actions:
-                    continue
-                a_row, b_row = actions[row]
-                for a in entry.terms:
-                    p = periods.get(a)
-                    if p is None:
-                        g0 = sum(w * c for w, c in zip(self.omega0, a))
-                        g1 = sum(w * c for w, c in zip(self.omega1, a))
-                        p = periods[a] = (g0, g0 - g1)
-                    levels.append((a_row - p[0], b_row + p[1]))
-            table[col] = (*actions[col], levels)
-        return table
+            a_row, b_row = actions[row]
+            for a in entry.terms:
+                g0, g1 = ipair(a)
+                levels.append((a_row - g0 * k, b_row + (g0 - g1) * k))
+        table[col] = (*actions[col], levels)
+    return table
 
 
 def _filtration_violations(cx: FilteredComplex, matrix: Matrix, table: dict,
@@ -425,17 +410,18 @@ def validate(cx: FilteredComplex, grid: Iterable | None = None) -> ValidationRep
             violations.append(("missing-sample", s))
     samples = [s for s in samples if s in cx.boundaries]
 
-    scaled = _IntLevels(cx)
-    checked: dict = {}  # id(matrix) -> (its _matrix_violations, its scaled.table)
+    scale, actions = _int_actions(cx)
+    k = scale // cx.ring.scale
+    checked: dict = {}  # id(matrix) -> (its _matrix_violations, its _level_table)
     for s in samples:
         matrix = cx.boundaries[s]
         hit = checked.get(id(matrix))
         if hit is None:
             hit = checked[id(matrix)] = (_matrix_violations(cx, matrix, names, degrees),
-                                         scaled.table(matrix))
+                                         _level_table(cx, matrix, actions, k))
         found, table = hit
         violations.extend((kind, (s, *witness)) for kind, witness in found)
-        violations.extend(_filtration_violations(cx, matrix, table, scaled.denom, s))
+        violations.extend(_filtration_violations(cx, matrix, table, scale, s))
     return ValidationReport(ok=not violations, violations=violations)
 
 

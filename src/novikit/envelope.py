@@ -201,41 +201,6 @@ def pointwise_min(curves: Sequence[PiecewiseAffine]) -> PiecewiseAffine:
     return _merge_collinear(out_knots, out_pieces)
 
 
-def min_intercept(cloud, lam) -> tuple[Fraction, Point]:
-    """Minimal value of lam*g0 + g1 over the cloud and an attaining point.
-
-    This is the minimal y-intercept over the lines of slope -lam through
-    the cloud's points.  Ties go to the lexicographically least point.
-    """
-    lam = Fraction(lam)
-    if lam < 0:
-        raise ValueError("slope parameter must be nonnegative")
-    pts = _cloud_points(cloud)
-    best_val = None
-    best_pt = None
-    for p in pts:
-        v = lam * p[0] + p[1]
-        if best_val is None or v < best_val or (v == best_val and p < best_pt):
-            best_val, best_pt = v, p
-    return best_val, best_pt
-
-
-def stable_point(cloud) -> Point:
-    """The point optimal for every sufficiently steep slope: the lex-min."""
-    return min(_cloud_points(cloud))
-
-
-def stability_threshold(cloud) -> Fraction:
-    """A slope bound beyond which min_intercept's optimizer is the stable point."""
-    pts = _cloud_points(cloud)
-    p0, p1 = min(pts)
-    thr = Fraction(0)
-    for q0, q1 in pts:
-        if q0 > p0:
-            thr = max(thr, (p1 - q1) / (q0 - p0))
-    return thr
-
-
 def filtration_curve(actions: Sequence[tuple[tuple, Iterable]]) -> PiecewiseAffine:
     """Upper envelope of action offsets minus period values.
 

@@ -45,7 +45,7 @@ from fractions import Fraction
 from .complexes import CappedGenerator, ContinuationData, FilteredComplex
 from .fields import FieldError, field_by_name, render_fraction
 from .periods import PeriodSystem
-from .series import NovikovElement, RingMode
+from .series import NovikovElement, NovikovRing, RingMode
 
 HEADER = "# novikit complex v1"
 _MAP_KEYS = ("phi", "psi", "ks", "kt")
@@ -84,17 +84,15 @@ def _parse_exponent(raw: str, rank: int, line_no: int):
 
 
 def _render_terms(entry: NovikovElement) -> str:
-    def key(a):
-        return (entry.system.pair(a), a)
-
+    ring = entry.ring
     parts = []
-    for a in sorted(entry.terms, key=key):
-        parts.append(f"{entry.field.render(entry.terms[a])} {_render_exponent(a)}")
+    for a in sorted(entry.terms, key=lambda a: (ring.ipair(a), a)):
+        parts.append(f"{ring.field.render(entry.terms[a])} {_render_exponent(a)}")
     return " ; ".join(parts)
 
 
-def _parse_terms(raw: str, cx_info, line_no: int) -> NovikovElement:
-    system, field, mode, cutoff = cx_info
+def _parse_terms(raw: str, ring: NovikovRing, line_no: int) -> NovikovElement:
+    field = ring.field
     terms = {}
     for chunk in raw.split(";"):
         chunk = chunk.strip()
@@ -107,32 +105,37 @@ def _parse_terms(raw: str, cx_info, line_no: int) -> NovikovElement:
             coeff = field.parse(bits[0])
         except (ValueError, ZeroDivisionError):
             raise ParseError(line_no, f"bad coefficient {bits[0]!r}") from None
-        exp = _parse_exponent(bits[1], system.rank, line_no)
+        exp = _parse_exponent(bits[1], ring.system.rank, line_no)
         terms[exp] = field.add(terms.get(exp, field.zero), coeff)
-    return NovikovElement(system, field, mode, cutoff, terms)
+    return NovikovElement(ring, terms)
 
 
 def emit(cx: FilteredComplex) -> str:
     """Canonical text form of a complex (byte-stable)."""
+    ring, system = cx.ring, cx.system
     out = [HEADER, ""]
     out.append("[options]")
-    out.append(f"field = {cx.coefficient_field.name}")
-    out.append(f"cutoff = {render_fraction(cx.cutoff)}")
-    out.append(f"mode = {cx.mode.value}")
+    out.append(f"field = {ring.field.name}")
+    out.append(f"cutoff = {render_fraction(ring.cutoff)}")
+    out.append(f"mode = {ring.mode.value}")
     out.append("")
     out.append("[period-system]")
-    out.append(f"rank = {cx.system.rank}")
-    out.append("omega0 = " + (" ".join(render_fraction(w) for w in cx.system.omega0) or "."))
-    out.append("omega1 = " + (" ".join(render_fraction(w) for w in cx.system.omega1) or "."))
+    out.append(f"rank = {system.rank}")
+    out.append("omega0 = " + (" ".join(render_fraction(w) for w in system.omega0) or "."))
+    out.append("omega1 = " + (" ".join(render_fraction(w) for w in system.omega1) or "."))
     out.append("")
     out.append("[generators]")
     for g in cx.generators:
         out.append(f"{g.name} {g.degree} {render_fraction(g.action0)} "
                    f"{render_fraction(g.action_slope)}")
+    rendered: dict = {}  # id(matrix) -> its lines: samples share matrices
     for s in cx.samples:
         out.append("")
         out.append(f"[boundary s={render_fraction(s)}]")
-        out.extend(_entry_lines("", cx.boundaries[s]))
+        matrix = cx.boundaries[s]
+        if id(matrix) not in rendered:
+            rendered[id(matrix)] = _entry_lines("", matrix)
+        out.extend(rendered[id(matrix)])
     for data in sorted(cx.continuations, key=lambda d: (d.s_from, d.s_to)):
         out.append("")
         out.append(f"[continuation from={render_fraction(data.s_from)} "
@@ -164,7 +167,7 @@ class _Parser:
         self.continuations: list = []
         self._section = None
         self._cont = None
-        self._ring = None  # _ring_info's result, fixed from the first entry on
+        self._ring = None  # _ring_of's result, fixed from the first entry on
         self._entries: dict = {}  # entry text -> its (immutable) NovikovElement
 
     def fail(self, line_no, msg):
@@ -223,10 +226,10 @@ class _Parser:
         else:
             self.fail(idx, f"unknown section {head!r}")
 
-    def _ring_info(self, idx):
-        """(system, field, mode, cutoff), built on first use.  The first
-        entry fixes it: a later ``[options]`` or ``[period-system]``
-        section is an error."""
+    def _ring_of(self, idx) -> NovikovRing:
+        """The file's one ring, built on first use.  The first entry fixes
+        it: a later ``[options]`` or ``[period-system]`` section is an
+        error."""
         if self._ring is not None:
             return self._ring
         if self.rank is None:
@@ -239,7 +242,7 @@ class _Parser:
         field = field_by_name(self.options.get("field", "f2"))
         mode = RingMode(self.options.get("mode", "interval"))
         cutoff = self.options.get("cutoff", Fraction(10))
-        self._ring = (system, field, mode, cutoff)
+        self._ring = NovikovRing(system, field, mode, cutoff)
         return self._ring
 
     def _entry_line(self, line, idx, into, prefix_maps=False):
@@ -264,7 +267,7 @@ class _Parser:
         terms = terms.strip()
         entry = self._entries.get(terms)
         if entry is None:
-            entry = self._entries[terms] = _parse_terms(terms, self._ring_info(idx), idx)
+            entry = self._entries[terms] = _parse_terms(terms, self._ring_of(idx), idx)
         if col in target and row in target[col]:
             self.fail(idx, f"duplicate entry {row} {col}")
         target.setdefault(col, {})[row] = entry
@@ -353,7 +356,7 @@ class _Parser:
             self.fail(len(self.lines), "no generators declared")
         if not self.boundaries:
             self.fail(len(self.lines), "no boundary samples declared")
-        system, field, mode, cutoff = self._ring_info(len(self.lines))
+        ring = self._ring_of(len(self.lines))
         conts = []
         for cont in self.continuations:
             if cont["shift1"] is None or cont["shift2"] is None:
@@ -361,8 +364,7 @@ class _Parser:
             conts.append(ContinuationData(
                 cont["from"], cont["to"], cont["phi"], cont["psi"],
                 cont["ks"], cont["kt"], cont["shift1"], cont["shift2"]))
-        return FilteredComplex(system, field, mode, cutoff,
-                               tuple(self.generators), self.boundaries,
+        return FilteredComplex(ring, tuple(self.generators), self.boundaries,
                                continuations=tuple(conts))
 
 

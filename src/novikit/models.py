@@ -32,7 +32,7 @@ from .complexes import (
 )
 from .fields import field_by_name
 from .periods import PeriodSystem
-from .series import INF, NovikovElement, RingMode, monomial, unit
+from .series import INF, NovikovElement, NovikovRing, RingMode, monomial, unit
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 2),
                    Fraction(3, 4), Fraction(1))
@@ -86,13 +86,16 @@ class ModelSpec:
         cutoff = Fraction(cutoff)
         if cutoff <= 0:
             raise InfeasibleSpec(f"cutoff {cutoff} must be positive")
+        density = Fraction(density)
+        if not 0 <= density <= 1:
+            raise InfeasibleSpec(f"density {density} lies outside [0, 1]")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "n_pairs", n_pairs)
         object.__setattr__(self, "n_closed", n_closed)
         object.__setattr__(self, "lattice_rank", lattice_rank)
         object.__setattr__(self, "cutoff", cutoff)
         object.__setattr__(self, "field_name", field_name)
-        object.__setattr__(self, "density", Fraction(density))
+        object.__setattr__(self, "density", density)
         object.__setattr__(self, "action_range", action_range)
         object.__setattr__(self, "length_range", length_range)
         object.__setattr__(self, "slope_range", slope_range)
@@ -113,17 +116,12 @@ def _rand_frac(rng: random.Random, lo, hi, denom: int = 4) -> Fraction:
     return Fraction(rng.randint(a, b), denom)
 
 
-def _system_for(spec: ModelSpec) -> PeriodSystem:
-    w0, w1 = _default_periods(spec.lattice_rank)
-    return PeriodSystem(spec.lattice_rank, w0, w1)
-
-
-def _rand_positive_exponent(rng: random.Random, system: PeriodSystem):
+def _rand_positive_exponent(rng: random.Random, ring: NovikovRing):
     """A lattice vector with strictly positive period pair (rank >= 1)."""
-    k = system.rank
+    k = ring.system.rank
     for _ in range(64):
         coords = tuple(rng.randint(0, 2) for _ in range(k))
-        g0, g1 = system.pair(coords)
+        g0, g1 = ring.ipair(coords)
         if g0 > 0 and g1 > 0:
             return coords
     return tuple([1] * k)
@@ -140,10 +138,9 @@ def gen_elementary(spec: ModelSpec) -> FilteredComplex:
     rng = random.Random(spec.seed)
     if Fraction(spec.length_range[0]) <= 0:
         raise InfeasibleSpec("bars need strictly positive length")
-    system = _system_for(spec)
+    system = PeriodSystem(spec.lattice_rank, *_default_periods(spec.lattice_rank))
     coeff_field = field_by_name(spec.field_name)
-    mode = RingMode.INTERVAL
-    cutoff = spec.cutoff
+    ring = NovikovRing(system, coeff_field, RingMode.INTERVAL, spec.cutoff)
 
     gens: list[CappedGenerator] = []
     matrix: dict[str, dict[str, NovikovElement]] = {}
@@ -152,7 +149,7 @@ def gen_elementary(spec: ModelSpec) -> FilteredComplex:
         ax0 = _rand_frac(rng, *spec.action_range)
         sx = _rand_frac(rng, *spec.slope_range)
         if system.rank > 0 and rng.random() < Fraction(1, 2):
-            g = _rand_positive_exponent(rng, system)
+            g = _rand_positive_exponent(rng, ring)
         else:
             g = (0,) * system.rank
         g0, g1 = system.pair(g)
@@ -163,15 +160,14 @@ def gen_elementary(spec: ModelSpec) -> FilteredComplex:
         gens.append(CappedGenerator(xn, 0, ax0, sx))
         gens.append(CappedGenerator(yn, 1, ay0, ay1 - ay0))
         coeff = coeff_field.sample_nonzero(rng)
-        matrix[yn] = {xn: monomial(system, coeff_field, mode, cutoff, g, coeff)}
+        matrix[yn] = {xn: monomial(ring, g, coeff)}
     for i in range(spec.n_closed):
         zn = f"z{i}"
         a0 = _rand_frac(rng, *spec.action_range)
         sl = _rand_frac(rng, *spec.slope_range)
         gens.append(CappedGenerator(zn, rng.randint(0, 1), a0, sl))
 
-    return FilteredComplex(system, coeff_field, mode, cutoff, tuple(gens),
-                           dict.fromkeys(spec.samples, matrix))
+    return FilteredComplex(ring, tuple(gens), dict.fromkeys(spec.samples, matrix))
 
 
 def elementary_bars(cx: FilteredComplex, t):
@@ -231,20 +227,18 @@ def _filtered_entry(rng: random.Random, cx: FilteredComplex, row: str, col: str)
     """A strictly filtration-decreasing entry from col onto row, or None."""
     ar = cx.generator(row).action_endpoints
     ac = cx.generator(col).action_endpoints
-    coeff = cx.coefficient_field.sample_nonzero(rng)
+    coeff = cx.ring.field.sample_nonzero(rng)
     if cx.system.rank == 0:
         if ar[0] < ac[0] and ar[1] < ac[1]:
-            return monomial(cx.system, cx.coefficient_field, cx.mode, cx.cutoff,
-                            (), coeff)
+            return monomial(cx.ring, (), coeff)
         return None
-    h = _rand_positive_exponent(rng, cx.system)
+    h = _rand_positive_exponent(rng, cx.ring)
     h0, h1 = cx.system.pair(h)
     m = 1
     while not (ar[0] - m * h0 < ac[0] and ar[1] - m * h1 < ac[1]):
         m += 1
     scaled = tuple(m * c for c in h)
-    return monomial(cx.system, cx.coefficient_field, cx.mode, cx.cutoff,
-                    scaled, coeff)
+    return monomial(cx.ring, scaled, coeff)
 
 
 def gen_random(spec: ModelSpec, basis_seed: int | None = None) -> FilteredComplex:
@@ -263,9 +257,7 @@ def gen_random(spec: ModelSpec, basis_seed: int | None = None) -> FilteredComple
     p, pinv = _conjugators(spec, base, basis_seed)
     d = base.boundary_matrix(base.samples[0])
     conj = compose_matrices(p, compose_matrices(d, pinv))
-    return FilteredComplex(base.system, base.coefficient_field, base.mode,
-                           base.cutoff, base.generators,
-                           dict.fromkeys(base.samples, conj))
+    return FilteredComplex(base.ring, base.generators, dict.fromkeys(base.samples, conj))
 
 
 def pathological_system() -> PeriodSystem:
@@ -279,11 +271,9 @@ def pathological_columns(cutoff=Fraction(10), field=None) -> list[dict[str, Novi
     powers of B while the second marches off, which is the canonical
     violation of balanced divergence.
     """
-    field = field or field_by_name("f2")
-    system = pathological_system()
-    one = unit(system, field, RingMode.INTERVAL, cutoff)
-    tb = monomial(system, field, RingMode.INTERVAL, cutoff, (0, 1), 1)
-    return [{"e": one - tb}]
+    ring = NovikovRing(pathological_system(), field or field_by_name("f2"),
+                       RingMode.INTERVAL, cutoff)
+    return [{"e": unit(ring) - monomial(ring, (0, 1))}]
 
 
 def gen_pathological(cutoff=Fraction(10), field_name: str = "f2",
@@ -294,15 +284,9 @@ def gen_pathological(cutoff=Fraction(10), field_name: str = "f2",
     divergence check, exhibits mode-dependent homology ranks, and makes
     the best approximation diverge: the standard counterexample input.
     """
-    field = field_by_name(field_name)
-    system = pathological_system()
-    cutoff = Fraction(cutoff)
-    mode = RingMode.INTERVAL
-    one = unit(system, field, mode, cutoff)
-    tb = monomial(system, field, mode, cutoff, (0, 1), 1)
+    entry = pathological_columns(cutoff, field_by_name(field_name))[0]["e"]
     gens = (CappedGenerator("x", 0, 0, 0), CappedGenerator("y", 1, 2, 0))
-    return FilteredComplex(system, field, mode, cutoff, gens,
-                           dict.fromkeys(samples, {"y": {"x": one - tb}}))
+    return FilteredComplex(entry.ring, gens, dict.fromkeys(samples, {"y": {"x": entry}}))
 
 
 def shift_constants(slopes: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
@@ -335,8 +319,7 @@ def line_family(base: FilteredComplex, slopes, alpha_norm=1) -> FilteredComplex:
                  for g in base.generators)
     s1, s2 = shift_constants([a[g.name] for g in base.generators])
 
-    cx = FilteredComplex(base.system, base.coefficient_field, base.mode,
-                         base.cutoff, gens, base.boundaries)
+    cx = FilteredComplex(base.ring, gens, base.boundaries)
     report = validate(cx)
     if not report:
         raise InfeasibleSpec(
@@ -349,6 +332,4 @@ def line_family(base: FilteredComplex, slopes, alpha_norm=1) -> FilteredComplex:
         conts.append(ContinuationData(
             s_from=Fraction(0), s_to=s, phi=ident, psi=ident, k_s={}, k_t={},
             shift1=s * s1, shift2=s * s2))
-    return FilteredComplex(base.system, base.coefficient_field, base.mode,
-                           base.cutoff, gens, base.boundaries,
-                           continuations=tuple(conts))
+    return FilteredComplex(base.ring, gens, base.boundaries, continuations=tuple(conts))

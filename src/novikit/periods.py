@@ -11,7 +11,6 @@ finiteness of period sublevel sets is decidable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Tuple
 
 Exponent = Tuple[int, ...]
@@ -32,7 +31,7 @@ class PeriodSystem:
     inputs (they model rescaling) and merely flagged.
     """
 
-    __slots__ = ("rank", "omega0", "omega1", "_scaled", "_pair_cache")
+    __slots__ = ("rank", "omega0", "omega1")
 
     def __init__(self, rank: int, omega0: Iterable, omega1: Iterable):
         if rank < 0:
@@ -46,12 +45,6 @@ class PeriodSystem:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "omega0", w0)
         object.__setattr__(self, "omega1", w1)
-        # (d, d*omega0, d*omega1) with d the lcm of the denominators: pair()
-        # sums ints and makes one Fraction per value.
-        d = lcm(*(w.denominator for w in w0 + w1))
-        object.__setattr__(self, "_scaled", (d, tuple(int(w * d) for w in w0),
-                                             tuple(int(w * d) for w in w1)))
-        object.__setattr__(self, "_pair_cache", {})
 
     def __setattr__(self, *args):
         raise AttributeError("PeriodSystem is immutable")
@@ -72,16 +65,13 @@ class PeriodSystem:
             )
 
     def pair(self, a: Exponent) -> tuple[Fraction, Fraction]:
-        """Both period values (omega0(a), omega1(a)) of a lattice vector."""
-        cached = self._pair_cache.get(a)
-        if cached is not None:
-            return cached
+        """Both period values (omega0(a), omega1(a)) of a lattice vector.
+
+        Uncached; the int pairs that orders and truncation compare are
+        ``series.NovikovRing.ipair``."""
         self.check_exponent(a)
-        d, n0, n1 = self._scaled
-        pair = (Fraction(sum(w * c for w, c in zip(n0, a)), d),
-                Fraction(sum(w * c for w, c in zip(n1, a)), d))
-        self._pair_cache[a] = pair
-        return pair
+        return (sum((w * c for w, c in zip(self.omega0, a)), Fraction(0)),
+                sum((w * c for w, c in zip(self.omega1, a)), Fraction(0)))
 
     def __eq__(self, other) -> bool:
         return (

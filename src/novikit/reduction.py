@@ -12,9 +12,8 @@ the one it runs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
-from .complexes import FilteredComplex, validate
+from .complexes import FilteredComplex, _int_actions, validate
 from .fields import render_fraction
 from .series import INF
 
@@ -109,44 +108,35 @@ class Barcode:
 def _scaled_slice(cx: FilteredComplex, t: Fraction):
     """Slice t scaled to ints: ``(scale, cutoff, levels, columns)``.
 
-    ``scale`` is the lcm of the denominators of the cutoff, of every
-    eta_i(t) and of every collapsed value (1-t)*g0 + t*g1 of a boundary
-    exponent, so each of them is an int over ``scale``: the cutoff, the
-    generator levels ``levels[i]`` and every value V below.  A vector is
-    a dict from ``(V - levels[row], row, V)`` to the coefficient of the
-    term T^V at generator ``cx.generators[row]``, whose filtration level
-    is ``levels[row] - V``; its ``min`` is the peak: highest level, then
-    lowest row, then lowest value.  Terms above the cutoff are dropped.
-    ``columns[i]`` is the boundary of generator i as such a vector.
+    With t = p/q and ``(m, actions) = complexes._int_actions(cx)``,
+    ``scale`` is q*m, so the cutoff, the generator levels
+    ``levels[i]`` = eta_i(t) and the collapsed value V = (1-t)*g0 + t*g1
+    of every boundary exponent are ints over it, read off the ring's
+    ``ipair``.  A vector is a dict from ``(V - levels[row], row, V)`` to
+    the coefficient of the term T^V at generator ``cx.generators[row]``,
+    whose filtration level is ``levels[row] - V``; its ``min`` is the
+    peak: highest level, then lowest row, then lowest value.  Terms above
+    the cutoff are dropped.  ``columns[i]`` is the boundary of generator i
+    as such a vector.
     """
     matrix = cx.boundary_matrix(t)
-    pair = cx.system.pair
-    collapsed: dict = {}
-    for column in matrix.values():
-        for entry in column.values():
-            for a in entry.terms:
-                if a not in collapsed:
-                    g0, g1 = pair(a)
-                    collapsed[a] = (1 - t) * g0 + t * g1
-    eta = [g.action_at(t) for g in cx.generators]
-    scale = lcm(cx.cutoff.denominator, *(x.denominator for x in eta),
-                *(v.denominator for v in collapsed.values()))
-
-    def up(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    cutoff = up(cx.cutoff)
-    levels = [up(x) for x in eta]
-    value = {a: up(v) for a, v in collapsed.items()}
-    field = cx.coefficient_field
+    ring, field = cx.ring, cx.ring.field
+    p, q = t.numerator, t.denominator
+    m, actions = _int_actions(cx)
+    k = m // ring.scale
+    w0, w1 = (q - p) * k, p * k
+    cutoff = ring.icutoff * k * q
+    levels = [a * q + b * p for a, b in (actions[g.name] for g in cx.generators)]
     index = {g.name: i for i, g in enumerate(cx.generators)}
+    ipair = ring.ipair
     columns = []
     for g in cx.generators:
         vec: dict = {}
         for name, entry in matrix.get(g.name, {}).items():
             row = index[name]
             for a, c in entry.terms.items():
-                v = value[a]
+                g0, g1 = ipair(a)
+                v = w0 * g0 + w1 * g1
                 if v > cutoff:
                     continue
                 key = (v - levels[row], row, v)
@@ -156,7 +146,7 @@ def _scaled_slice(cx: FilteredComplex, t: Fraction):
                 else:
                     vec[key] = c
         columns.append(vec)
-    return scale, cutoff, levels, columns
+    return q * m, cutoff, levels, columns
 
 
 def _sub_shifted(target: dict, source: dict, factor, shift: int, field,
@@ -250,7 +240,7 @@ def persistence_barcode(cx: FilteredComplex, t, *, prevalidated: bool = False) -
         report = validate(cx, [t])
         if not report:
             raise ValueError(f"complex fails validation: {report.violations[:3]}")
-    field = cx.coefficient_field
+    field = cx.ring.field
     gens = cx.generators
     scale, cutoff, levels, columns = _scaled_slice(cx, t)
 

@@ -14,6 +14,9 @@ the interval is attained at an endpoint; this reproduces exactly the
 asymmetry that makes ``1 - T^B`` invertible at one endpoint but not over
 the interval ring.
 
+A :class:`NovikovRing` fixes the period system, field, mode and cutoff,
+and scales periods and cutoff to ints once; every element holds its ring.
+
 The module also houses the rank-2 valuation (the lexicographic minimum of
 period pairs over the support) and the two comparison orders on value
 pairs: plain lexicographic, and t-weighted lexicographic which compares
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from math import lcm
 from typing import Mapping
 
 from .periods import Exponent, PeriodSystem, exponent_add
@@ -39,14 +43,6 @@ class RingMode(enum.Enum):
     OMEGA0 = "omega0"
     OMEGA1 = "omega1"
     INTERVAL = "interval"
-
-    def keeps(self, pair: tuple[Fraction, Fraction], cutoff: Fraction) -> bool:
-        g0, g1 = pair
-        if self is RingMode.OMEGA0:
-            return g0 <= cutoff
-        if self is RingMode.OMEGA1:
-            return g1 <= cutoff
-        return min(g0, g1) <= cutoff
 
 
 class Rank2Value:
@@ -129,7 +125,7 @@ def compare_t_weighted(p: Rank2Value, q: Rank2Value, t) -> int:
 class LexOrder:
     """Plain lexicographic order on valuation pairs."""
 
-    def key(self, pair: tuple[Fraction, Fraction]):
+    def key(self, pair):
         return pair
 
     def compare(self, p: Rank2Value, q: Rank2Value) -> int:
@@ -140,17 +136,23 @@ class LexOrder:
 
 
 class TWeightedOrder:
-    """t-weighted lexicographic order on valuation pairs."""
+    """t-weighted lexicographic order on valuation pairs.
+
+    At t = p/q the key of a pair (g0, g1) is ``((q-p)*g0 + p*g1, g1)``:
+    q times the weighted value, then the tie-breaker, so int pairs (such as
+    ``NovikovRing.ipair``) get int keys in the same order.
+    """
 
     def __init__(self, t):
         t = Fraction(t)
         if not (0 <= t <= 1):
             raise ValueError(f"t={t} outside [0, 1]")
         self.t = t
+        self._w0, self._w1 = t.denominator - t.numerator, t.numerator
 
-    def key(self, pair: tuple[Fraction, Fraction]):
+    def key(self, pair):
         g0, g1 = pair
-        return ((1 - self.t) * g0 + self.t * g1, g1)
+        return (self._w0 * g0 + self._w1 * g1, g1)
 
     def compare(self, p: Rank2Value, q: Rank2Value) -> int:
         return compare_t_weighted(p, q, self.t)
@@ -159,127 +161,188 @@ class TWeightedOrder:
         return f"t-weighted({self.t})"
 
 
-class NovikovElement:
-    """A finite, truncated Novikov series over a period system.
+_new_element = object.__new__
+_set = object.__setattr__
 
-    ``terms`` maps exponents to nonzero field coefficients; every stored
-    exponent survives the mode's truncation predicate at the cutoff.
-    Instances are immutable; all arithmetic returns fresh elements.
+
+class NovikovRing:
+    """One truncated Novikov ring: a period system, a coefficient field, a
+    ring mode and a cutoff, with one integer scale.
+
+    ``scale`` is the lcm L of the period and cutoff denominators, so the
+    cutoff (``icutoff``) and both period values of every exponent
+    (``ipair``, cached in the ring) are ints over L.  Multiplying by L > 0
+    keeps order and ties, so orders, truncation and sorts compare these
+    ints; ``Fraction``s are built only where values leave the package.
+    A complex builds one ring and all its elements share it; rings built
+    apart compare equal by value.
     """
 
-    __slots__ = ("system", "field", "mode", "cutoff", "terms")
+    __slots__ = ("system", "field", "mode", "cutoff", "scale", "icutoff",
+                 "_w0", "_w1", "_pairs")
 
-    def __init__(self, system: PeriodSystem, field, mode: RingMode, cutoff,
-                 terms: Mapping[Exponent, object]):
+    def __init__(self, system: PeriodSystem, field, mode: RingMode, cutoff):
         cutoff = Fraction(cutoff)
+        scale = lcm(cutoff.denominator, *(w.denominator for w in system.omega0 + system.omega1))
+        for name, value in (("system", system), ("field", field), ("mode", mode),
+                            ("cutoff", cutoff), ("scale", scale),
+                            ("icutoff", int(cutoff * scale)),
+                            ("_w0", tuple(int(w * scale) for w in system.omega0)),
+                            ("_w1", tuple(int(w * scale) for w in system.omega1)),
+                            ("_pairs", {})):  # _pairs: exponent -> ipair
+            _set(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("NovikovRing is immutable")
+
+    def ipair(self, a: Exponent) -> tuple[int, int]:
+        """``(L*omega0(a), L*omega1(a))`` as ints."""
+        p = self._pairs.get(a)
+        if p is None:
+            p = self._pairs[a] = (sum(w * c for w, c in zip(self._w0, a)),
+                                  sum(w * c for w, c in zip(self._w1, a)))
+        return p
+
+    def keeps(self, a: Exponent) -> bool:
+        """The mode's truncation test: whether T^a survives the cutoff."""
+        g0, g1 = self.ipair(a)
+        mode, top = self.mode, self.icutoff
+        if mode is RingMode.OMEGA0:
+            return g0 <= top
+        if mode is RingMode.OMEGA1:
+            return g1 <= top
+        return g0 <= top or g1 <= top
+
+    def element(self, terms: dict) -> "NovikovElement":
+        """The trusted constructor: ``terms`` is already clean (exponent
+        tuples of this ring's rank, nonzero field values, every exponent
+        kept) and becomes the element's own dict."""
+        x = _new_element(NovikovElement)
+        _set(x, "ring", self)
+        _set(x, "terms", terms)
+        return x
+
+    def check(self, other: "NovikovRing") -> None:
+        """``ModeMismatch`` unless ``other`` is this ring or equals it."""
+        if other is not self and other != self:
+            raise ModeMismatch(f"ring mismatch: {self!r} vs {other!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not NovikovRing:
+            return NotImplemented
+        return (self.system == other.system and self.field == other.field
+                and self.mode is other.mode and self.cutoff == other.cutoff)
+
+    def __hash__(self) -> int:
+        return hash((self.system, self.mode, self.cutoff))
+
+    def __repr__(self) -> str:
+        return f"NovikovRing({self.field.name}, {self.mode.value}, cutoff {self.cutoff})"
+
+
+class NovikovElement:
+    """A finite, truncated Novikov series in one ring.
+
+    ``terms`` maps exponents to nonzero field coefficients; every stored
+    exponent survives the ring's truncation test.  This constructor checks
+    and cleans its input; ``NovikovRing.element`` trusts it.  Instances
+    are immutable; all arithmetic returns fresh elements.
+    """
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring: NovikovRing, terms: Mapping[Exponent, object]):
+        system, field, keeps = ring.system, ring.field, ring.keeps
         clean: dict[Exponent, object] = {}
         for a, c in terms.items():
             a = tuple(a)
             system.check_exponent(a)
             c = field.coerce(c)
-            if field.is_zero(c):
-                continue
-            if mode.keeps(system.pair(a), cutoff):
+            if not field.is_zero(c) and keeps(a):
                 clean[a] = c
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "cutoff", cutoff)
-        object.__setattr__(self, "terms", clean)
+        _set(self, "ring", ring)
+        _set(self, "terms", clean)
 
     def __setattr__(self, *args):
         raise AttributeError("NovikovElement is immutable")
 
-    def _compatible(self, other: "NovikovElement") -> None:
-        if self.system != other.system:
-            raise ModeMismatch("period system mismatch")
-        if self.field != other.field:
-            raise ModeMismatch("coefficient field mismatch")
-        if self.mode is not other.mode:
-            raise ModeMismatch(f"ring mode mismatch: {self.mode} vs {other.mode}")
-        if self.cutoff != other.cutoff:
-            raise ModeMismatch(f"cutoff mismatch: {self.cutoff} vs {other.cutoff}")
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    def like(self, terms: Mapping[Exponent, object]) -> "NovikovElement":
-        return NovikovElement(self.system, self.field, self.mode, self.cutoff, terms)
-
     def __add__(self, other: "NovikovElement") -> "NovikovElement":
-        self._compatible(other)
+        ring = self.ring
+        ring.check(other.ring)
         out = dict(self.terms)
-        f = self.field
+        f = ring.field
         for a, c in other.terms.items():
             s = f.add(out.get(a, f.zero), c)
             if f.is_zero(s):
                 out.pop(a, None)
             else:
                 out[a] = s
-        return self.like(out)
+        return ring.element(out)
 
     def __neg__(self) -> "NovikovElement":
-        f = self.field
-        return self.like({a: f.neg(c) for a, c in self.terms.items()})
+        f = self.ring.field
+        return self.ring.element({a: f.neg(c) for a, c in self.terms.items()})
 
     def __sub__(self, other: "NovikovElement") -> "NovikovElement":
         return self + (-other)
 
     def __mul__(self, other: "NovikovElement") -> "NovikovElement":
-        self._compatible(other)
-        f = self.field
+        ring = self.ring
+        ring.check(other.ring)
+        f, keeps = ring.field, ring.keeps
         out: dict[Exponent, object] = {}
         for a, c in self.terms.items():
             for b, d in other.terms.items():
                 e = exponent_add(a, b)
+                if not keeps(e):
+                    continue
                 s = f.add(out.get(e, f.zero), f.mul(c, d))
                 if f.is_zero(s):
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return self.like(out)
+        return ring.element(out)
 
     def scale(self, coeff) -> "NovikovElement":
-        f = self.field
+        f = self.ring.field
         coeff = f.coerce(coeff)
         if f.is_zero(coeff):
-            return self.like({})
-        return self.like({a: f.mul(c, coeff) for a, c in self.terms.items()})
+            return self.ring.element({})
+        return self.ring.element({a: f.mul(c, coeff) for a, c in self.terms.items()})
 
     def shift(self, exponent: Exponent) -> "NovikovElement":
         """Multiply by the monomial T^exponent (re-truncating)."""
         exponent = tuple(exponent)
-        return self.like({exponent_add(a, exponent): c for a, c in self.terms.items()})
+        return NovikovElement(self.ring, {exponent_add(a, exponent): c
+                                          for a, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, NovikovElement)
-            and self.system == other.system
-            and self.field == other.field
-            and self.mode is other.mode
-            and self.cutoff == other.cutoff
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.system, self.mode, self.cutoff,
-                     frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"NovikovElement({render_element(self)!r})"
 
 
-def zero(system: PeriodSystem, field, mode: RingMode, cutoff) -> NovikovElement:
-    return NovikovElement(system, field, mode, cutoff, {})
+def zero(ring: NovikovRing) -> NovikovElement:
+    return ring.element({})
 
 
-def monomial(system: PeriodSystem, field, mode: RingMode, cutoff,
-             exponent: Exponent, coeff=1) -> NovikovElement:
-    return NovikovElement(system, field, mode, cutoff, {tuple(exponent): coeff})
+def monomial(ring: NovikovRing, exponent: Exponent, coeff=1) -> NovikovElement:
+    return NovikovElement(ring, {tuple(exponent): coeff})
 
 
-def unit(system: PeriodSystem, field, mode: RingMode, cutoff) -> NovikovElement:
-    return monomial(system, field, mode, cutoff, (0,) * system.rank, 1)
+def unit(ring: NovikovRing) -> NovikovElement:
+    return monomial(ring, (0,) * ring.system.rank, 1)
 
 
 def add(x: NovikovElement, y: NovikovElement) -> NovikovElement:
@@ -308,8 +371,9 @@ def valuation_at(x: NovikovElement, t):
         raise ValueError(f"t={t} outside [0, 1]")
     if x.is_zero():
         return INF
-    return min((1 - t) * g0 + t * g1 for g0, g1 in
-               (x.system.pair(a) for a in x.terms))
+    p, q = t.numerator, t.denominator
+    low = min((q - p) * g0 + p * g1 for g0, g1 in map(x.ring.ipair, x.terms))
+    return Fraction(low, q * x.ring.scale)
 
 
 def min_support_level(x: NovikovElement, order) -> tuple[Rank2Value, list[Exponent]]:
@@ -320,19 +384,21 @@ def min_support_level(x: NovikovElement, order) -> tuple[Rank2Value, list[Expone
     """
     if x.is_zero():
         return VALUE_INF, []
-    pairs = {a: x.system.pair(a) for a in x.terms}
+    pairs = {a: x.ring.ipair(a) for a in x.terms}
     best_key = min(order.key(p) for p in pairs.values())
     level = [a for a, p in pairs.items() if order.key(p) == best_key]
-    best_pair = min(pairs[a] for a in level)
-    return Rank2Value(*best_pair), sorted(level)
+    g0, g1 = min(pairs[a] for a in level)
+    scale = x.ring.scale
+    return Rank2Value(Fraction(g0, scale), Fraction(g1, scale)), sorted(level)
 
 
 def convert_mode(x: NovikovElement, mode: RingMode) -> NovikovElement:
     """Reinterpret the element in another ring mode (re-truncating)."""
-    return NovikovElement(x.system, x.field, mode, x.cutoff, x.terms)
+    ring = x.ring
+    return NovikovElement(NovikovRing(ring.system, ring.field, mode, ring.cutoff), x.terms)
 
 
-def _mode_value(mode: RingMode, pair: tuple[Fraction, Fraction]) -> Fraction:
+def _mode_value(mode: RingMode, pair: tuple[int, int]) -> int:
     if mode is RingMode.OMEGA0:
         return pair[0]
     if mode is RingMode.OMEGA1:
@@ -342,10 +408,11 @@ def _mode_value(mode: RingMode, pair: tuple[Fraction, Fraction]) -> Fraction:
 
 def mode_min_value(x: NovikovElement, mode: RingMode | None = None):
     """Minimum over the support of the mode's governing period value."""
-    mode = mode or x.mode
+    mode = mode or x.ring.mode
     if x.is_zero():
         return INF
-    return min(_mode_value(mode, x.system.pair(a)) for a in x.terms)
+    low = min(_mode_value(mode, x.ring.ipair(a)) for a in x.terms)
+    return Fraction(low, x.ring.scale)
 
 
 def try_invert(x: NovikovElement) -> NovikovElement | None:
@@ -362,25 +429,25 @@ def try_invert(x: NovikovElement) -> NovikovElement | None:
     """
     if x.is_zero():
         return None
-    mode = x.mode
+    ring = x.ring
 
     def keyfn(a):
-        p = x.system.pair(a)
-        return (_mode_value(mode, p), p, a)
+        p = ring.ipair(a)
+        return (_mode_value(ring.mode, p), p, a)
 
     a0 = min(x.terms, key=keyfn)
     try:
-        inv0 = x.field.inv(x.terms[a0])
+        inv0 = ring.field.inv(x.terms[a0])
     except ZeroDivisionError:
         return None
-    y = monomial(x.system, x.field, mode, x.cutoff, tuple(-c for c in a0), inv0)
-    one = unit(x.system, x.field, mode, x.cutoff)
+    y = monomial(ring, tuple(-c for c in a0), inv0)
+    one = unit(ring)
     last = None
     while True:
         r = one - x * y
         if r.is_zero():
             return y
-        m = mode_min_value(r, mode)
+        m = mode_min_value(r)
         if last is None:
             if not m > 0:
                 return None
@@ -394,11 +461,10 @@ def render_element(x: NovikovElement) -> str:
     """Canonical text form: terms sorted by period pair, then by coords."""
     if x.is_zero():
         return "0"
-    def sort_key(a):
-        return (x.system.pair(a), a)
+    ring = x.ring
     parts = []
-    for a in sorted(x.terms, key=sort_key):
-        coeff = x.field.render(x.terms[a])
+    for a in sorted(x.terms, key=lambda a: (ring.ipair(a), a)):
+        coeff = ring.field.render(x.terms[a])
         exp = ",".join(str(c) for c in a)
         parts.append(f"{coeff}*T^({exp})")
     return " + ".join(parts)

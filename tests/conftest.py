@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from novikit import PeriodSystem, RingMode, monomial, unit, zero
+from novikit import NovikovRing, PeriodSystem, RingMode, monomial, unit, zero
 from novikit.fields import GF2, QQ
 
 
@@ -21,19 +21,23 @@ def ring(axes):
         field = GF2
         mode = RingMode.INTERVAL
         cutoff = Fraction(10)
+        base = NovikovRing(axes, GF2, RingMode.INTERVAL, Fraction(10))
+
+        def of(self, mode=None, field=None, cutoff=None):
+            """The base ring, or one with the given parts replaced."""
+            if mode is None and field is None and cutoff is None:
+                return self.base
+            return NovikovRing(self.system, field or self.field, mode or self.mode,
+                               cutoff if cutoff is not None else self.cutoff)
 
         def mono(self, exponent, coeff=1, mode=None, field=None, cutoff=None):
-            return monomial(self.system, field or self.field, mode or self.mode,
-                            cutoff if cutoff is not None else self.cutoff,
-                            exponent, coeff)
+            return monomial(self.of(mode, field, cutoff), exponent, coeff)
 
         def one(self, mode=None, field=None, cutoff=None):
-            return unit(self.system, field or self.field, mode or self.mode,
-                        cutoff if cutoff is not None else self.cutoff)
+            return unit(self.of(mode, field, cutoff))
 
         def zero(self, mode=None, field=None, cutoff=None):
-            return zero(self.system, field or self.field, mode or self.mode,
-                        cutoff if cutoff is not None else self.cutoff)
+            return zero(self.of(mode, field, cutoff))
 
     return Ring()
 

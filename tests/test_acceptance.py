@@ -50,7 +50,7 @@ from novikit.models import (
     shift_constants,
 )
 from novikit.cancellation import FloerDivergenceError
-from novikit.series import NovikovElement, monomial, unit
+from novikit.series import NovikovElement, NovikovRing, monomial, unit
 
 F = Fraction
 AXES = PeriodSystem(2, (1, 0), (0, 1))
@@ -71,7 +71,7 @@ def _random_element(rng, field, cutoff=F(10)):
     for _ in range(rng.randint(1, 3)):
         a = (rng.randint(0, 2), rng.randint(0, 2))
         terms[a] = field.sample(rng)
-    return NovikovElement(AXES, field, RingMode.INTERVAL, cutoff, terms)
+    return NovikovElement(NovikovRing(AXES, field, RingMode.INTERVAL, cutoff), terms)
 
 
 def test_criterion_1_ring_and_valuation_suite():
@@ -137,9 +137,8 @@ def test_criterion_3_pathological_operator_reproduction():
     r1, _ = homology_ranks_at_cutoff(cx, 0, RingMode.OMEGA1)
     ok = ok and (r0[0], r1[0]) == (1, 0)
 
-    one = unit(cx.system, cx.coefficient_field, cx.mode, cutoff)
-    probe = {"e": monomial(cx.system, cx.coefficient_field, cx.mode, cutoff,
-                           (0, 1), 1)}
+    one = unit(cx.ring)
+    probe = {"e": monomial(cx.ring, (0, 1), 1)}
     diverged = False
     try:
         best_approximation(pathological_columns(cutoff), probe, LexOrder(), cutoff)
@@ -162,12 +161,13 @@ def _gen_instance_criterion4(rng):
     contains every shift the implementation can use.
     """
     cutoff = F(1)
+    ring = NovikovRing(AXES, GF2, RingMode.INTERVAL, cutoff)
     n_cols = rng.randint(1, 3)
     n_comp = rng.randint(1, 2)
     comps = [f"c{i}" for i in range(n_comp)]
 
     def mono(exp):
-        return monomial(AXES, GF2, RingMode.INTERVAL, cutoff, exp, 1)
+        return monomial(ring, exp, 1)
 
     columns = []
     for _ in range(n_cols):
@@ -358,8 +358,7 @@ def _oracle_boundary_depth(cx, t, box=6):
                 if pick is None:
                     continue
                 name, exp = pick
-                mono = monomial(cx.system, cx.coefficient_field, cx.mode,
-                                cx.cutoff, exp, 1)
+                mono = monomial(cx.ring, exp, 1)
                 chain[name] = chain[name] + mono if name in chain else mono
             chain = chain_cleanup(chain)
             if not chain:
@@ -470,8 +469,7 @@ def test_criterion_7_bottleneck_stability_chain(line_models):
 
 
 def _corrupt(fam, data, kind, rng):
-    junk = monomial(fam.system, fam.coefficient_field, fam.mode, fam.cutoff,
-                    (0,) * fam.system.rank, 1)
+    junk = monomial(fam.ring, (0,) * fam.system.rank, 1)
     names = list(fam.generator_names)
     target = names[rng.randrange(len(names))]
     # image generator with a nonzero boundary column, so d(K e) != 0

@@ -8,6 +8,7 @@ from novikit import (
     ContinuationData,
     FilteredComplex,
     NEG_INF,
+    NovikovRing,
     RingMode,
     apply_boundary,
     basis_chain,
@@ -28,7 +29,7 @@ SAMPLES = (F(0), F(1, 2), F(1))
 
 def make_complex(axes, gens, matrix, field=GF2, cutoff=F(10)):
     boundaries = {s: {c: dict(col) for c, col in matrix.items()} for s in SAMPLES}
-    return FilteredComplex(axes, field, RingMode.INTERVAL, cutoff, gens, boundaries)
+    return FilteredComplex(NovikovRing(axes, field, RingMode.INTERVAL, cutoff), gens, boundaries)
 
 
 @pytest.fixture
@@ -106,7 +107,7 @@ class TestValidate:
         # a second, distinct matrix at s = 1/2 is checked on its own
         boundaries = dict(cx.boundaries)
         boundaries[F(1, 2)] = {"b": {"c": one}}
-        other = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens, boundaries)
+        other = FilteredComplex(NovikovRing(axes, GF2, RingMode.INTERVAL, F(10)), gens, boundaries)
         calls.clear()
         assert validate(other).violations == (
             expected[:3] + expected[6:])
@@ -215,7 +216,7 @@ def _reference_filtration(cx, samples):
 
 
 def _with_gens(cx, gens, boundaries=None):
-    return FilteredComplex(cx.system, cx.coefficient_field, cx.mode, cx.cutoff, gens,
+    return FilteredComplex(cx.ring, gens,
                            cx.boundaries if boundaries is None else boundaries)
 
 
@@ -234,7 +235,7 @@ def _copied(matrix, reverse=False):
     """An equal matrix with no entry object in common, columns optionally
     in reverse order."""
     cols = list(matrix.items())
-    return {col: {row: e.like(dict(e.terms)) for row, e in column.items()}
+    return {col: {row: NovikovElement(e.ring, dict(e.terms)) for row, e in column.items()}
             for col, column in (cols[::-1] if reverse else cols)}
 
 
@@ -284,11 +285,11 @@ class TestFiltrationOracle:
 
     def test_sample_outside_unit_interval_raises_as_ell_does(self, axes, ring):
         gens = (CappedGenerator("a", 0, 0, 0), CappedGenerator("b", 1, 1, 0))
-        cx = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens,
+        cx = FilteredComplex(NovikovRing(axes, GF2, RingMode.INTERVAL, F(10)), gens,
                              {F(2): {"b": {"a": ring.one()}}})
         with pytest.raises(ValueError, match=r"t=2 outside \[0, 1\]"):
             validate(cx)
-        empty = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens, {F(2): {}})
+        empty = FilteredComplex(NovikovRing(axes, GF2, RingMode.INTERVAL, F(10)), gens, {F(2): {}})
         assert validate(empty)
 
     def test_dangling_row_is_reported(self, axes, ring):
@@ -333,6 +334,7 @@ class TestSquareZeroOracle:
         # these 240 columns, 19 have a row whose products are nonzero
         # before truncation and zero after.
         rng = random.Random(7)
+        ring3 = NovikovRing(axes, field, RingMode.INTERVAL, F(3))
         gens = [CappedGenerator(f"g{i}", i % 3, 0, 0) for i in range(6)]
         names = [g.name for g in gens]
         hits = 0
@@ -345,9 +347,9 @@ class TestSquareZeroOracle:
                     for _ in range(rng.randint(0, 2)):
                         x = rng.randint(0, 2)
                         terms[(x, x + rng.randint(0, 1))] = rng.choice((1, -1))
-                    column[row] = NovikovElement(axes, field, RingMode.INTERVAL, F(3), terms)
+                    column[row] = NovikovElement(ring3, terms)
                 matrix[col] = column
-            cx = FilteredComplex(axes, field, RingMode.INTERVAL, F(3), gens, {F(0): matrix})
+            cx = FilteredComplex(ring3, gens, {F(0): matrix})
             want = _reference_square(cx, F(0))
             got = [v for v in validate(cx).violations if v[0] == "square-nonzero"]
             assert got == want
@@ -373,7 +375,7 @@ class TestProductOracle:
         # products and drops others.
         terms = {(rng.randint(-1, 3), rng.randint(-1, 3)): field.sample_nonzero(rng)
                  for _ in range(rng.randint(0, 3))}
-        return NovikovElement(axes, field, mode, F(2), terms)
+        return NovikovElement(NovikovRing(axes, field, mode, F(2)), terms)
 
     def _matrix(self, rng, axes, field, mode):
         return {c: {r: self._element(rng, axes, field, mode)
@@ -384,6 +386,7 @@ class TestProductOracle:
     @pytest.mark.parametrize("mode", list(RingMode), ids=[m.value for m in RingMode])
     def test_random_products(self, axes, field, mode):
         rng = random.Random(11)
+        ring2 = NovikovRing(axes, field, mode, F(2))
         kept = dropped = cancelled = 0
         for _ in range(80):
             matrix, inner = (self._matrix(rng, axes, field, mode) for _ in range(2))
@@ -398,8 +401,7 @@ class TestProductOracle:
                 for entry in matrix.get(c, {}).values():
                     for a in entry.terms:
                         for b in x.terms:
-                            pair = axes.pair((a[0] + b[0], a[1] + b[1]))
-                            if mode.keeps(pair, F(2)):
+                            if ring2.keeps((a[0] + b[0], a[1] + b[1])):
                                 kept += 1
                             else:
                                 dropped += 1

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from novikit import (
+    NovikovElement,
     PeriodSystem,
     basis_chain,
     ell,
@@ -97,7 +98,7 @@ def test_boundary_strictly_drops_filtration_on_random_chains():
             for name in deg1:
                 if rng.random() < 0.6:
                     exp = (rng.randint(0, 2), rng.randint(0, 2))
-                    coeff = cx.zero_coeff().like({exp: 1})
+                    coeff = NovikovElement(cx.ring, {exp: 1})
                     chain[name] = coeff
             chain = chain_cleanup(chain)
             if not chain:

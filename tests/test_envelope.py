@@ -1,63 +1,13 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from novikit.envelope import (
-    EmptyCloud,
-    PiecewiseAffine,
-    filtration_curve,
-    min_intercept,
-    pointwise_min,
-    stability_threshold,
-    stable_point,
-)
+from novikit.envelope import PiecewiseAffine, filtration_curve, pointwise_min
 from oracles import constant_curve, pointwise_max, valuation_curve
 
 F = Fraction
-
-
-class TestMinIntercept:
-    def test_single_point(self):
-        for lam in (0, 1, 17):
-            assert min_intercept([(0, 0)], lam) == (0, (0, 0))
-
-    def test_two_points_switch(self):
-        cloud = [(0, 3), (2, 0)]
-        assert min_intercept(cloud, 1) == (2, (2, 0))
-        assert min_intercept(cloud, 10) == (3, (0, 3))
-
-    def test_tie_breaks_lex(self):
-        val, pt = min_intercept([(0, 2), (2, 0)], 1)
-        assert val == 2 and pt == (0, 2)
-
-    def test_rejects_negative_slope(self):
-        with pytest.raises(ValueError):
-            min_intercept([(0, 0)], -1)
-
-    def test_rejects_empty(self):
-        with pytest.raises(EmptyCloud):
-            min_intercept([], 1)
-
-
-class TestStablePoint:
-    def test_examples(self):
-        assert stable_point([(0, 3), (2, 0)]) == (0, 3)
-        assert stable_point([(1, 1)]) == (1, 1)
-        assert stable_point([(0, 5), (0, 2)]) == (0, 2)
-
-    def test_threshold_property(self):
-        rng = random.Random(5)
-        for _ in range(60):
-            pts = {(F(rng.randint(-4, 4)), F(rng.randint(-4, 4)))
-                   for _ in range(rng.randint(1, 8))}
-            sp = stable_point(pts)
-            thr = stability_threshold(pts)
-            for lam in (thr + 1, 2 * thr + 7):
-                _, pt = min_intercept(pts, lam)
-                assert pt == sp
 
 
 class TestValuationCurve:

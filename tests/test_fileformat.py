@@ -143,8 +143,7 @@ class TestCanonicalBoundaries:
         padded["ghost"] = {"x0": zero}
         # equal operators listed in another column order share the first one
         reordered = dict(reversed(list(matrix.items())))
-        again = FilteredComplex(cx.system, cx.coefficient_field, cx.mode, cx.cutoff,
-                                cx.generators, {F(0): matrix, F(1, 2): padded,
+        again = FilteredComplex(cx.ring, cx.generators, {F(0): matrix, F(1, 2): padded,
                                                 F(1): reordered})
         base = again.boundaries[F(0)]
         assert base == matrix and base is not matrix

@@ -13,6 +13,8 @@ from novikit import (
     FloerDivergenceError,
     INF,
     NEG_INF,
+    NovikovElement,
+    NovikovRing,
     RingMode,
     basis_chain,
     bottleneck,
@@ -34,7 +36,7 @@ SAMPLES = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 
 
 def closed_complex(axes, gens, field=GF2, cutoff=F(10)):
-    return FilteredComplex(axes, field, RingMode.INTERVAL, cutoff, gens,
+    return FilteredComplex(NovikovRing(axes, field, RingMode.INTERVAL, cutoff), gens,
                            {s: {} for s in SAMPLES})
 
 
@@ -53,7 +55,7 @@ class TestRho:
         gens = (CappedGenerator("x", 0, 5, 0), CappedGenerator("xp", 0, 3, 0),
                 CappedGenerator("y", 1, 6, 0))
         matrix = {"y": {"x": ring.one(), "xp": -ring.mono(g)}}
-        cx = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens,
+        cx = FilteredComplex(NovikovRing(axes, GF2, RingMode.INTERVAL, F(10)), gens,
                              {s: matrix for s in SAMPLES})
         assert ell(cx, basis_chain(cx, "x"), t) == 5
         res = rho(cx, basis_chain(cx, "x"), t)
@@ -69,7 +71,7 @@ class TestRho:
     def test_non_cycle_rejected(self, axes, ring):
         gens = (CappedGenerator("x", 0, 1, 0), CappedGenerator("y", 1, 3, 0))
         matrix = {"y": {"x": ring.one()}}
-        cx = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens,
+        cx = FilteredComplex(NovikovRing(axes, GF2, RingMode.INTERVAL, F(10)), gens,
                              {s: matrix for s in SAMPLES})
         with pytest.raises(SpectralError):
             rho(cx, basis_chain(cx, "y"), 0)
@@ -78,7 +80,7 @@ class TestRho:
         gens = (CappedGenerator("x", 0, 5, 1), CappedGenerator("xp", 0, 3, -2),
                 CappedGenerator("y", 1, 9, 0))
         matrix = {"y": {"x": ring.one(), "xp": -ring.mono((1, 1))}}
-        cx = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens,
+        cx = FilteredComplex(NovikovRing(axes, GF2, RingMode.INTERVAL, F(10)), gens,
                              {s: matrix for s in SAMPLES})
         for t in SAMPLES:
             res = rho(cx, basis_chain(cx, "x"), t)
@@ -101,7 +103,7 @@ class TestRho:
 class TestSpectrum:
     def test_rank0_single_generator(self):
         sys0 = PeriodSystem(0, (), ())
-        cx = FilteredComplex(sys0, GF2, RingMode.INTERVAL, F(2),
+        cx = FilteredComplex(NovikovRing(sys0, GF2, RingMode.INTERVAL, F(2)),
                              (CappedGenerator("x", 0, F(7, 2), -1),),
                              {F(0): {}, F(1): {}})
         assert spectrum(cx, 0) == [F(7, 2)]
@@ -109,14 +111,14 @@ class TestSpectrum:
 
     def test_rank1_ray_direction(self):
         sys1 = PeriodSystem(1, (1,), (1,))
-        cx = FilteredComplex(sys1, GF2, RingMode.INTERVAL, F(2),
+        cx = FilteredComplex(NovikovRing(sys1, GF2, RingMode.INTERVAL, F(2)),
                              (CappedGenerator("x", 0, 4, 0),),
                              {F(0): {}})
         assert spectrum(cx, 0, 2) == [2, 3, 4]
 
     def test_two_generators_rank0(self):
         sys0 = PeriodSystem(0, (), ())
-        cx = FilteredComplex(sys0, GF2, RingMode.INTERVAL, F(2),
+        cx = FilteredComplex(NovikovRing(sys0, GF2, RingMode.INTERVAL, F(2)),
                              (CappedGenerator("x", 0, 1, 0),
                               CappedGenerator("z", 0, 2, 0)),
                              {F(0): {}})
@@ -130,7 +132,7 @@ class TestBoundaryDepth:
 
     def test_elementary_pair(self, axes, ring):
         gens = (CappedGenerator("x", 0, 1, 0), CappedGenerator("y", 1, 3, 0))
-        cx = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens,
+        cx = FilteredComplex(NovikovRing(axes, GF2, RingMode.INTERVAL, F(10)), gens,
                              {s: {"y": {"x": ring.one()}} for s in SAMPLES})
         assert boundary_depth(cx, 0) == 2
 
@@ -138,7 +140,7 @@ class TestBoundaryDepth:
         gens = (CappedGenerator("x0", 0, 1, 0), CappedGenerator("y0", 1, 3, 0),
                 CappedGenerator("x1", 0, 0, 0), CappedGenerator("y1", 1, 5, 0))
         matrix = {"y0": {"x0": ring.one()}, "y1": {"x1": ring.one()}}
-        cx = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens,
+        cx = FilteredComplex(NovikovRing(axes, GF2, RingMode.INTERVAL, F(10)), gens,
                              {s: matrix for s in SAMPLES})
         assert boundary_depth(cx, 0) == 5
 
@@ -279,9 +281,9 @@ class TestScan:
         # two closed generators; the class of their sum follows the max line
         sys0 = PeriodSystem(0, (), ())
         gens = (CappedGenerator("x", 0, 2, -2), CappedGenerator("z", 0, 0, 1))
-        cx = FilteredComplex(sys0, GF2, RingMode.INTERVAL, F(10), gens,
+        cx = FilteredComplex(NovikovRing(sys0, GF2, RingMode.INTERVAL, F(10)), gens,
                              {s: {} for s in SAMPLES})
-        one = cx.zero_coeff().like({(): 1})
+        one = NovikovElement(cx.ring, {(): 1})
         cycle = {"x": one, "z": one}
         report = scan_semicontinuity(cx, cycle, SAMPLES)
         assert report.curve(0) == 2
@@ -307,7 +309,7 @@ class TestScan:
         conts = tuple(
             ContinuationData(0, s, ident, ident, {}, {}, 10, 10)
             for s in (F(1, 2), F(1)))
-        cx = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens,
+        cx = FilteredComplex(NovikovRing(axes, GF2, RingMode.INTERVAL, F(10)), gens,
                              boundaries, continuations=conts)
         report = scan_semicontinuity(cx, basis_chain(cx, "x"),
                                      (F(0), F(1, 2), F(1)))
@@ -321,7 +323,7 @@ class TestScan:
                 CappedGenerator("y", 1, 6, 0))
         mt = {"y": {"x": ring.one(), "xp": -ring.mono((1, 1))}}
         boundaries = {F(0): {}, F(1): mt}
-        cx = FilteredComplex(axes, GF2, RingMode.INTERVAL, F(10), gens,
+        cx = FilteredComplex(NovikovRing(axes, GF2, RingMode.INTERVAL, F(10)), gens,
                              boundaries)
         with pytest.raises(MissingContinuation):
             scan_semicontinuity(cx, basis_chain(cx, "x"), (F(0), F(1)))
@@ -344,7 +346,7 @@ def test_rho_matches_exhaustive_coset_search_rank0():
                 and chain_cleanup(matrix.get(g.name, {}))]
         closed = [g.name for g in cx.generators
                   if g.degree == 0 and g.name.startswith("z")]
-        one = cx.zero_coeff().like({(): 1})
+        one = NovikovElement(cx.ring, {(): 1})
         for name in closed:
             cycle = {name: one}
             best = ell(cx, cycle, t)

@@ -9,6 +9,7 @@ from novikit import (
     INF,
     LexOrder,
     ModeMismatch,
+    NovikovElement,
     Rank2Value,
     RingMode,
     TWeightedOrder,
@@ -148,7 +149,7 @@ def _random_element(ring, rng, field, n_terms=3):
     for _ in range(n_terms):
         a = (rng.randint(0, 2), rng.randint(0, 2))
         terms[a] = field.sample(rng)
-    return ring.zero(field=field).like(terms)
+    return NovikovElement(ring.of(field=field), terms)
 
 
 @pytest.mark.parametrize("field", [GF2, QQ], ids=["f2", "q"])
