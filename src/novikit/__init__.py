@@ -15,8 +15,8 @@ _EXPORTS = {
                 "ray_finite_interval"),
     "series": ("INF", "LexOrder", "ModeMismatch", "NovikovElement",
                "NovikovRing", "Rank2Value", "RingMode", "TWeightedOrder", "VALUE_INF", "add",
-               "compare_lex", "compare_t_weighted", "monomial", "mul",
-               "render_element", "unit", "valuation", "valuation_at", "zero"),
+               "monomial", "mul", "render_element", "unit", "valuation", "valuation_at",
+               "zero"),
     "envelope": ("PiecewiseAffine", "PointCloud", "filtration_curve",
                  "lower_envelope", "upper_envelope"),
     "complexes": ("CappedGenerator", "ContinuationData", "FilteredComplex",

@@ -28,7 +28,7 @@ image (:class:`_SaturatedImage`) and each vector cancelled against it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 from typing import Mapping, Sequence
 
 from .complexes import Chain, FilteredComplex, apply_matrix, chain_add, chain_cleanup, chain_sub
@@ -40,22 +40,22 @@ from .series import (
     Rank2Value,
     RingMode,
     VALUE_INF,
-    convert_mode,
     try_invert,
     unit,
 )
 
 DEFAULT_STALL_WINDOW = 8
-DEFAULT_MAX_STEPS = 5000
-# Cap on the sweeps of _SaturatedImage._saturate.
+# Cap on the sweeps of _SaturatedImage._saturate.  Its termination argument
+# waits on a complete candidate set in _phi_step (ROADMAP, Direction 14).
 SATURATION_PASSES = 256
 
 
 class FloerDivergenceError(RuntimeError):
-    """Raised when a best approximation does not exist at cutoff scale."""
+    """Raised when a best approximation does not exist at cutoff scale;
+    ``probe`` is the vector whose trace stalled, when known."""
 
-    def __init__(self, outcome: "ReductionOutcome"):
-        self.outcome = outcome
+    def __init__(self, outcome: "ReductionOutcome", probe=None):
+        self.outcome, self.probe = outcome, probe
         super().__init__(
             f"valuation trace diverges ({outcome.kind}); no best approximation"
         )
@@ -127,30 +127,31 @@ class TermGeometry:
 def chain_level(chain: Chain, geom: TermGeometry, order):
     """Order-minimal value pair of a chain and the attaining terms.
 
-    Returns ``(Rank2Value, [(component, exponent), ...])``; the value is
-    fully infinite exactly for the zero chain.  Keys and pairs are the
-    geometry's ints; only the result is a ``Rank2Value``.
+    Returns ``(pair, [(component, exponent), ...])`` from one pass: the
+    geometry's int pair (the least the order ties), ``None`` exactly for
+    the zero chain, and the attaining terms, sorted.
     """
     pair, key = geom.pair, order.key
-    best_key = None
-    for comp in chain:
-        for a in chain[comp].terms:
-            k = key(pair(comp, a))
-            if best_key is None or k < best_key:
-                best_key = k
-    if best_key is None:
-        return VALUE_INF, []
+    best_key = best = None
     level = []
-    best_pair = None
-    for comp in sorted(chain):
-        for a in sorted(chain[comp].terms):
+    for comp, x in chain.items():
+        for a in x.terms:
             p = pair(comp, a)
-            if key(p) == best_key:
+            k = key(p)
+            if best_key is None or k < best_key:
+                best_key, best, level = k, p, [(comp, a)]
+            elif k == best_key:
                 level.append((comp, a))
-                if best_pair is None or p < best_pair:
-                    best_pair = p
-    return Rank2Value(Fraction(best_pair[0], geom.scale),
-                      Fraction(best_pair[1], geom.scale)), level
+                if p < best:
+                    best = p
+    level.sort()
+    return best, level
+
+
+def _value(pair, scale: int) -> Rank2Value:
+    """The ``Rank2Value`` of an int pair over ``scale``; ``None`` is infinite."""
+    return VALUE_INF if pair is None else Rank2Value(Fraction(pair[0], scale),
+                                                     Fraction(pair[1], scale))
 
 
 def normalize_columns(columns: Sequence[Chain]) -> list[dict[str, NovikovElement]]:
@@ -250,43 +251,64 @@ def _phi_step(v: Chain, level: list, columns: Sequence[Chain],
     return chain_sub(v, apply_matrix({i: columns[i] for i in step}, step.items())), step
 
 
-def _cancel(image: "_SaturatedImage", v: Chain, lead: tuple):
+def _cancel(image: "_SaturatedImage", geom: TermGeometry, v: Chain, lead: tuple):
     """The cancellation loop: iterate ``_phi_step`` on ``v`` against the image.
 
-    ``lead`` is ``chain_level(v)``.  Stops at a fixed point, when both
-    valuation coordinates exit the cutoff window, or at a stall.  Returns
+    ``lead`` is ``chain_level(v)`` in ``geom``.  Stops at a fixed point,
+    when both coordinates exceed the cutoff, or at a stall.  Returns
     ``(kind, v, lead, trace, combo, stall)``: the final vector and its
-    ``chain_level``, the valuation trace, the cancelled combination
-    (every step applied to the expressions in the original column names),
-    and the ``(axis, stabilized)`` pair of a ``diverges-second`` stall.
+    ``chain_level``, the trace of int pairs (``None`` for zero), the
+    cancelled combination (the steps applied to the columns' expressions)
+    and the ``(axis, int)`` of a ``diverges-second`` stall.  Only ints are
+    compared: an int exceeds cutoff * L exactly when it exceeds
+    floor(cutoff * L), L the geometry's scale.
+
+    Termination needs no cap.  Keys are ``(W, g1)``, W = w0*g0 + w1*g1
+    with ints w0, w1 >= 0 not both zero, and every step strictly raises
+    the key.  If W stays bounded, it is eventually constant: then g1 rises
+    at every step and g0 never does, so g1 passes the cutoff and the next
+    full window stalls on axis 1.  If W is unbounded, from some step on
+    exactly one coordinate is above the cutoff (both end the loop with
+    ``diverges-both``), and the stall rule of :func:`_detect_stall` forces
+    the other to rise strictly across every window while it stays at or
+    below the cutoff, which an int does only finitely often.  A rule that
+    replaces that stall rule must restate this argument.
     """
-    order, cutoff = image.order, image.cutoff
-    value, level = lead
-    trace: list[Rank2Value] = []
+    key = image.order.key
+    top = floor(image.cutoff * geom.scale)
+    pair, level = lead
+    trace: list = []
     combo: dict[str, NovikovElement] = {}
     while True:
-        trace.append(value)
-        if value.is_infinite:
+        trace.append(pair)
+        if pair is None:
             break
-        if value.v0 > cutoff and value.v1 > cutoff:
-            return "diverges-both", v, (value, level), trace, combo, None
-        stall = _detect_stall(trace, cutoff)
+        if pair[0] > top and pair[1] > top:
+            return "diverges-both", v, (pair, level), trace, combo, None
+        stall = _detect_stall(trace, top)
         if stall is not None:
-            return "diverges-second", v, (value, level), trace, combo, stall
-        if not image.cols:
-            break
-        found = _phi_step(v, level, image.cols, image.leads, image.geom.ring.field)
+            return "diverges-second", v, (pair, level), trace, combo, stall
+        found = _phi_step(v, level, image.cols, image.leads, geom.ring.field)
         if found is None:
             break
         new_v, step = found
-        new_value, level = chain_level(new_v, image.geom, order)
-        if not new_value.is_infinite and order.compare(new_value, value) <= 0:
+        new_pair, level = chain_level(new_v, geom, image.order)
+        if new_pair is not None and key(new_pair) <= key(pair):
             raise RuntimeError("cancellation failed to raise the valuation")
         combo = chain_add(combo, apply_matrix({i: image.exprs[i] for i in step}, step.items()))
-        v, value = new_v, new_value
-        if len(trace) > DEFAULT_MAX_STEPS:
-            raise RuntimeError(f"no termination within {DEFAULT_MAX_STEPS} steps")
-    return "fixed-point", v, (value, level), trace, combo, None
+        v, pair = new_v, new_pair
+    return "fixed-point", v, (pair, level), trace, combo, None
+
+
+def _outcome(geom: TermGeometry, v: Chain, run: tuple) -> ReductionOutcome:
+    """The ``ReductionOutcome`` of a ``_cancel`` run on ``v``, in values."""
+    kind, rest, _, trace, combo, stall = run
+    scale = geom.scale
+    outcome = ReductionOutcome(kind, chain_sub(v, rest), rest,
+                               tuple(_value(p, scale) for p in trace), chain_cleanup(combo))
+    if stall is not None:
+        outcome.axis, outcome.stabilized = stall[0], Fraction(stall[1], scale)
+    return outcome
 
 
 class _SaturatedImage:
@@ -326,11 +348,10 @@ class _SaturatedImage:
         one = unit(ring)
         self.leads = [chain_level(c, geom, order) for c in cols]
         if offsets is None:
-            for value, _ in self.leads:
-                if value.as_tuple() != (Fraction(0), Fraction(0)):
-                    raise NormalizationError(
-                        f"column valuation {value} is not the zero pair; normalize first"
-                    )
+            for pair, _ in self.leads:
+                if pair != (0, 0):
+                    raise NormalizationError(f"column valuation {_value(pair, geom.scale)} "
+                                             "is not the zero pair; normalize first")
         self.cols = cols
         self.exprs = [{n: one} for n in names]
         self._saturate()
@@ -344,14 +365,19 @@ class _SaturatedImage:
         and the sweep restarts.  This is the non-Archimedean analogue of
         making the leading coefficient vectors independent, and is what
         makes the fixed point of the iteration a genuine best
-        approximation.  A column whose trace stalls keeps its last iterate.
+        approximation.  A column whose trace stalls raises
+        :class:`FloerDivergenceError`; one past the cutoff in both
+        coordinates keeps its last iterate.
         """
-        cols, exprs, leads = self.cols, self.exprs, self.leads
+        cols, exprs, leads, geom = self.cols, self.exprs, self.leads, self.geom
         for _ in range(SATURATION_PASSES):
             for i in range(len(cols)):
                 # Take column i out, so that the image is the other columns.
                 col, expr, lead = cols.pop(i), exprs.pop(i), leads.pop(i)
-                _, rest, rest_lead, trace, combo, _ = _cancel(self, col, lead)
+                run = _cancel(self, geom, col, lead)
+                kind, rest, rest_lead, trace, combo, _ = run
+                if kind == "diverges-second":
+                    raise FloerDivergenceError(_outcome(geom, col, run), col)
                 if len(trace) == 1:
                     cols.insert(i, col)
                     exprs.insert(i, expr)
@@ -372,12 +398,7 @@ class _SaturatedImage:
         geom = self.geom
         if geom is None and v:
             geom = TermGeometry(next(iter(v.values())).ring, self.offsets)
-        kind, rest, _, trace, combo, stall = _cancel(self, v, chain_level(v, geom, self.order))
-        combo = chain_cleanup(combo)
-        outcome = ReductionOutcome(kind, chain_sub(v, rest), rest, tuple(trace), combo)
-        if stall is not None:
-            outcome.axis, outcome.stabilized = stall
-        return outcome
+        return _outcome(geom, v, _cancel(self, geom, v, chain_level(v, geom, self.order)))
 
 
 def fixed_point(columns, v: Chain, order=None, cutoff=None, *,
@@ -396,25 +417,23 @@ def fixed_point(columns, v: Chain, order=None, cutoff=None, *,
     return _SaturatedImage(columns, order or LexOrder(), cutoff, offsets).cancel(v)
 
 
-def _detect_stall(trace: list[Rank2Value], cutoff: Fraction):
-    """One-sided divergence over the trailing ``DEFAULT_STALL_WINDOW`` values.
+def _detect_stall(trace: list, top: int):
+    """One-sided divergence over the trailing ``DEFAULT_STALL_WINDOW`` pairs.
 
     Classifies a trace whose coordinates move at incompatible speeds: one
-    coordinate leaves the cutoff window while the other fails to grow over
-    the whole trailing window (constant, or even decreasing).  Balanced
-    traces (both coordinates growing) are left to run into truncation.
+    coordinate exceeds the int cutoff ``top`` while the other fails to
+    grow over the whole trailing window (constant, or even decreasing).
+    Balanced traces (both coordinates growing) are left to run into
+    truncation.
     """
     window = DEFAULT_STALL_WINDOW
     if len(trace) < window:
         return None
-    tail = trace[-window:]
-    if any(t.is_infinite for t in tail):
-        return None
-    first, last = tail[0], tail[-1]
-    if last.v1 > cutoff and last.v0 <= first.v0:
-        return (1, last.v0)
-    if last.v0 > cutoff and last.v1 <= first.v1:
-        return (0, last.v1)
+    (f0, f1), (l0, l1) = trace[-window], trace[-1]
+    if l1 > top and l0 <= f0:
+        return (1, l0)
+    if l0 > top and l1 <= f1:
+        return (0, l1)
     return None
 
 
@@ -522,15 +541,16 @@ def floer_divergence_check(columns, cutoff) -> DivergenceCheck:
     norm_cols, probes = _divergence_probes(columns)
     if not norm_cols:
         return DivergenceCheck(True)
-    image = _SaturatedImage(norm_cols, LexOrder(), cutoff, None)
-    for probe in probes:
-        if not probe:
-            continue
-        outcome = image.cancel(probe)
-        if outcome.kind == "diverges-second":
-            return DivergenceCheck(False, DivergenceWitness(
-                probe=probe, trace=outcome.trace, axis=outcome.axis,
-                stabilized=outcome.stabilized))
+    try:  # a column that stalls while the image saturates is a witness too
+        image = _SaturatedImage(norm_cols, LexOrder(), cutoff, None)
+        for probe in filter(None, probes):
+            outcome = image.cancel(probe)
+            if outcome.kind == "diverges-second":
+                raise FloerDivergenceError(outcome, probe)
+    except FloerDivergenceError as err:
+        out = err.outcome
+        return DivergenceCheck(False, DivergenceWitness(err.probe, out.trace, out.axis,
+                                                        out.stabilized))
     return DivergenceCheck(True)
 
 
@@ -548,10 +568,13 @@ def matrix_rank_at_cutoff(columns: Mapping[str, Chain], mode: RingMode) -> tuple
     spanned by unit pivots — the mode sees genuinely smaller rank).
     """
     work: dict[str, dict[str, NovikovElement]] = {}
+    ring = None  # the mode's ring, built once from the first entry's
     for c, col in columns.items():
         clean = {}
         for r, e in col.items():
-            e2 = convert_mode(e, mode)
+            if ring is None:
+                ring = NovikovRing(e.ring.system, e.ring.field, mode, e.ring.cutoff)
+            e2 = NovikovElement(ring, e.terms)
             if not e2.is_zero():
                 clean[r] = e2
         if clean:

@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 domain failure (validation, divergence, or a
 violated semicontinuity verdict), 2 input error (unreadable file, parse
 error, bad flags, or any other ``ValueError`` a command raises, such as
 a t with no boundary sample), 3 an internal limit was hit (the iteration
-caps of column saturation, cancellation and scan refinement; the
-message names it).  Rationals on the command line and in all output are
-"p/q" strings.  Input files name their field as q or f<p>, p a prime
-below 2^31.  ``rho`` prints the spectral value only; the spectrum itself is
+caps of column saturation and scan refinement; the message names it).
+Rationals on the command line and in all output are "p/q" strings.
+Input files name their field as q or f<p>, p a prime below 2^31.
+``rho`` prints the spectral value only; the spectrum itself is
 ``invariants.spectrum``.  Commands run serially; the environment variable
 NOVIKIT_THREADS is accepted and ignored.
 
@@ -135,7 +135,7 @@ def cmd_validate(args) -> int:
         if not check:
             w = check.witness
             trace = " ".join(f"({render_fraction(v.v0)},{render_fraction(v.v1)})"
-                             for v in w.trace if not v.is_infinite)
+                             for v in w.trace)
             print(f"FAIL divergence at s={render_fraction(s)}: axis {w.axis} "
                   f"stalls at {render_fraction(w.stabilized)}; trace {trace}")
             return EXIT_DOMAIN

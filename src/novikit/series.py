@@ -18,9 +18,10 @@ A :class:`NovikovRing` fixes the period system, field, mode and cutoff,
 and scales periods and cutoff to ints once; every element holds its ring.
 
 The module also houses the rank-2 valuation (the lexicographic minimum of
-period pairs over the support) and the two comparison orders on value
-pairs: plain lexicographic, and t-weighted lexicographic which compares
-``(1-t)a + t*b`` first and breaks ties by the second coordinate.
+period pairs over the support) and the two orders on value pairs: plain
+lexicographic, and t-weighted lexicographic which compares ``(1-t)a + t*b``
+first and breaks ties by the second coordinate.  An order is its ``key``
+on the ring's int pairs; keys compare as tuples.
 """
 
 from __future__ import annotations
@@ -102,34 +103,11 @@ class Rank2Value:
 VALUE_INF = Rank2Value(INF, INF)
 
 
-def _cmp(a, b) -> int:
-    return (a > b) - (a < b)
-
-
-def compare_lex(p: Rank2Value, q: Rank2Value) -> int:
-    """Lexicographic comparison: first coordinates, ties by the second."""
-    c = _cmp(p.v0, q.v0)
-    if c != 0:
-        return c
-    return _cmp(p.v1, q.v1)
-
-
-def compare_t_weighted(p: Rank2Value, q: Rank2Value, t) -> int:
-    """Compare (1-t)a + t*b values, ties broken by the second coordinate."""
-    c = _cmp(p.weight(t), q.weight(t))
-    if c != 0:
-        return c
-    return _cmp(p.v1, q.v1)
-
-
 class LexOrder:
     """Plain lexicographic order on valuation pairs."""
 
     def key(self, pair):
         return pair
-
-    def compare(self, p: Rank2Value, q: Rank2Value) -> int:
-        return compare_lex(p, q)
 
     def describe(self) -> str:
         return "lex"
@@ -153,9 +131,6 @@ class TWeightedOrder:
     def key(self, pair):
         g0, g1 = pair
         return (self._w0 * g0 + self._w1 * g1, g1)
-
-    def compare(self, p: Rank2Value, q: Rank2Value) -> int:
-        return compare_t_weighted(p, q, self.t)
 
     def describe(self) -> str:
         return f"t-weighted({self.t})"

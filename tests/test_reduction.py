@@ -19,13 +19,13 @@ from novikit import (
     TWeightedOrder,
     VALUE_INF,
     best_approximation,
-    compare_lex,
     fixed_point,
     floer_divergence_check,
     homology_ranks_at_cutoff,
     matrix_rank_at_cutoff,
     monomial,
     persistence_barcode,
+    unit,
 )
 from novikit import cancellation
 from novikit.fields import GF2
@@ -84,7 +84,7 @@ class TestFixedPoint:
         out = fixed_point([col], v, LexOrder(), 10)
         finite = [t for t in out.trace if not t.is_infinite]
         for a, b in zip(finite, finite[1:]):
-            assert compare_lex(a, b) < 0
+            assert a.as_tuple() < b.as_tuple()
 
     def test_fixed_point_is_rechecked_by_one_more_step(self, ring):
         col = {"e": ring.one() - ring.mono((1, 1))}
@@ -111,6 +111,17 @@ class TestFixedPoint:
             vu, _ = chain_level(out.approximant, geom, LexOrder())
             vv, _ = chain_level(v, geom, LexOrder())
             assert vu == vv
+
+    def test_chain_level_is_an_int_pair(self, ring):
+        # at t = 1 the key ignores g0: (2, 1) and (0, 1) tie, and the pair
+        # is the lexicographically least of them
+        geom = TermGeometry(ring.base)
+        k = geom.scale
+        x = {"f": ring.mono((2, 1)), "e": ring.mono((0, 1)) + ring.mono((0, 2))}
+        pair, level = chain_level(x, geom, TWeightedOrder(1))
+        assert pair == (0, k) and all(type(g) is int for g in pair)
+        assert level == [("e", (0, 1)), ("f", (2, 1))]
+        assert chain_level({}, geom, LexOrder()) == (None, [])
 
     def test_rejects_nonnormalized_columns(self, ring):
         col = {"e": ring.mono((1, 1)) - ring.mono((2, 2))}
@@ -179,6 +190,22 @@ class TestDivergenceCheck:
     def test_balanced_operator_passes(self, ring):
         col = {"e": ring.one() - ring.mono((1, 1))}
         assert floer_divergence_check([col], 10)
+
+    def test_saturation_stall_is_a_witness(self):
+        # w = 1 + T^(1,0) stalls on axis 1 while it saturates against the
+        # one-sided y = 1 - T^B: a divergence with w as the probe
+        (y,) = pathological_columns(F(10))
+        ring = y["e"].ring
+        w = {"e": unit(ring) + monomial(ring, (1, 0))}
+        columns = {"w": w, "y": y}
+        check = floer_divergence_check(columns, 10)
+        assert not check
+        assert check.witness.probe == w
+        assert (check.witness.axis, check.witness.stabilized) == (1, 0)
+        assert [v.as_tuple() for v in check.witness.trace] == [(0, j) for j in range(12)]
+        with pytest.raises(FloerDivergenceError) as err:
+            best_approximation(columns, {"e": unit(ring)}, LexOrder(), 10)
+        assert err.value.outcome.kind == "diverges-second"
 
     def test_anti_diagonal_divergence_detected(self, ring):
         # image marches off in the first coordinate while the second sinks
@@ -289,6 +316,23 @@ class TestModeRanks:
         r0, stuck0 = matrix_rank_at_cutoff(cols, RingMode.OMEGA0)
         assert (r1, stuck1) == (1, False)
         assert (r0, stuck0) == (0, True)
+
+    def test_one_ring_per_call(self, monkeypatch):
+        cx = gen_random(ModelSpec(seed=3, n_pairs=6, n_closed=2, density=F(1, 2)))
+        cols = cx.boundary_matrix(0)
+        assert sum(len(col) for col in cols.values()) > 1
+        built = []
+        init = NovikovRing.__init__
+
+        def counting(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(NovikovRing, "__init__", counting)
+        for mode in RingMode:
+            built.clear()
+            matrix_rank_at_cutoff(cols, mode)
+            assert len(built) == 1
 
     def test_pathological_complex_homology_ranks(self):
         cx = gen_pathological()

@@ -14,8 +14,6 @@ from novikit import (
     RingMode,
     TWeightedOrder,
     VALUE_INF,
-    compare_lex,
-    compare_t_weighted,
     render_element,
     valuation,
     valuation_at,
@@ -108,28 +106,28 @@ class TestValuation:
 
 
 class TestOrders:
+    """An order is its key on int pairs; keys compare as tuples."""
+
     def test_lex_first_coordinate_dominates(self):
-        assert compare_lex(Rank2Value(1, -5), Rank2Value(0, 100)) > 0
+        key = LexOrder().key
+        assert key((1, -5)) > key((0, 100))
 
     def test_t_weighted_weights(self):
-        p, q = Rank2Value(0, 2), Rank2Value(1, 0)
-        # weights at t=1/2: 1 vs 1/2
-        assert compare_t_weighted(p, q, Fraction(1, 2)) > 0
+        # weights at t=1/2: 1 vs 1/2, so keys 2 vs 1 (twice the weight)
+        key = TWeightedOrder(Fraction(1, 2)).key
+        assert key((0, 2)) > key((1, 0))
 
     def test_t_weighted_tie_broken_by_second(self):
-        p, q = Rank2Value(0, 2), Rank2Value(2, 0)
-        assert compare_t_weighted(p, q, Fraction(1, 2)) > 0
+        key = TWeightedOrder(Fraction(1, 2)).key
+        assert key((0, 2))[0] == key((2, 0))[0]
+        assert key((0, 2)) > key((2, 0))
 
     def test_zero_weight_refines_lex(self):
-        pairs = [Rank2Value(0, 1), Rank2Value(0, 2), Rank2Value(1, 0),
-                 Rank2Value(-1, 7)]
+        pairs = [(0, 1), (0, 2), (1, 0), (-1, 7)]
+        lex, zero = LexOrder().key, TWeightedOrder(0).key
         for p in pairs:
             for q in pairs:
-                assert (compare_t_weighted(p, q, 0) > 0) == (compare_lex(p, q) > 0)
-
-    def test_infinite_pairs_compare(self):
-        assert compare_lex(VALUE_INF, Rank2Value(3, 3)) > 0
-        assert compare_t_weighted(VALUE_INF, VALUE_INF, Fraction(1, 2)) == 0
+                assert (zero(p) > zero(q)) == (lex(p) > lex(q))
 
     def test_lex_max_over_product_sets_projects(self):
         # the first coordinate of the lex-max over A1 x A2 is max(A1)
@@ -178,9 +176,9 @@ def test_valuation_laws_randomized(ring, field):
             assert valuation(x * y) == vx.add(vy)
         # ultrametric bound, equality when valuations differ
         vsum = valuation(x + y)
-        lo = vx if compare_lex(vx, vy) <= 0 else vy
-        assert compare_lex(vsum, lo) >= 0
-        if compare_lex(vx, vy) != 0:
+        lo = vx if vx.as_tuple() <= vy.as_tuple() else vy
+        assert vsum.as_tuple() >= lo.as_tuple()
+        if vx.as_tuple() != vy.as_tuple():
             assert vsum == lo
 
 
