@@ -396,7 +396,9 @@ class _SaturatedImage:
         """Iterate the cancellation map on ``v`` against the saturated image."""
         v = chain_cleanup(v)
         geom = self.geom
-        if geom is None and v:
+        if geom is None and not v:  # no ring to read, and nothing to cancel
+            return ReductionOutcome("fixed-point", {}, {}, (VALUE_INF,), {})
+        if geom is None:
             geom = TermGeometry(next(iter(v.values())).ring, self.offsets)
         return _outcome(geom, v, _cancel(self, geom, v, chain_level(v, geom, self.order)))
 

@@ -102,7 +102,8 @@ class FilteredComplex:
     share one matrix, so consumers test "same operator" with ``is``.
     """
 
-    __slots__ = ("ring", "generators", "boundaries", "continuations", "_by_name")
+    __slots__ = ("ring", "generators", "boundaries", "continuations", "_by_name",
+                 "_int_actions")
 
     def __init__(self, ring: NovikovRing, generators: Iterable[CappedGenerator],
                  boundaries: Mapping[Fraction, Matrix],
@@ -132,6 +133,7 @@ class FilteredComplex:
         object.__setattr__(self, "boundaries", bd)
         object.__setattr__(self, "continuations", tuple(continuations))
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_int_actions", None)  # see _int_actions
 
     def __setattr__(self, *args):
         raise AttributeError("FilteredComplex is immutable")
@@ -328,11 +330,15 @@ def _matrix_violations(cx: FilteredComplex, matrix: Matrix, names: set,
 def _int_actions(cx: FilteredComplex) -> tuple[int, dict]:
     """``(scale, {name: (action0, action_slope)})``, the actions as ints over
     ``scale``: the lcm of the ring's scale and the action denominators, so
-    that ``scale // cx.ring.scale`` puts every ``ipair`` on it too."""
-    scale = lcm(cx.ring.scale, *(x.denominator for g in cx.generators
-                                 for x in (g.action0, g.action_slope)))
-    return scale, {g.name: (int(g.action0 * scale), int(g.action_slope * scale))
-                   for g in cx.generators}
+    that ``scale // cx.ring.scale`` puts every ``ipair`` on it too.  Made
+    once per complex and kept on it."""
+    if cx._int_actions is None:
+        scale = lcm(cx.ring.scale, *(x.denominator for g in cx.generators
+                                     for x in (g.action0, g.action_slope)))
+        object.__setattr__(cx, "_int_actions", (scale, {
+            g.name: (int(g.action0 * scale), int(g.action_slope * scale))
+            for g in cx.generators}))
+    return cx._int_actions
 
 
 def _level_table(cx: FilteredComplex, matrix: Matrix, actions: dict, k: int) -> dict:

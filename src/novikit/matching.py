@@ -1,14 +1,16 @@
 """Exact bottleneck distance between two barcodes.
 
-Bars of each degree are matched by a binary search over the candidate
-distances, each probe asking whether a bipartite graph of bars and their
-diagonal copies has a perfect matching.  All comparisons are on ints:
-every endpoint is scaled once by a common denominator.
+Bars of each degree are matched at the least candidate distance whose
+bipartite graph of bars and their diagonal copies has a perfect matching.
+The lower bound set by each bar's cheapest edge is probed first, on a
+graph built by birth-window queries; the candidates above it are bisected
+only when it fails.  All comparisons are on ints: every endpoint is scaled
+once by a common denominator.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -72,10 +74,9 @@ def _bottleneck_degree(bars_a: Sequence[Bar], bars_b: Sequence[Bar]):
     """Exact bottleneck distance of the bars of one degree: a Fraction, or INF.
 
     Unbounded bars match unbounded bars in birth order; ``base`` is the
-    largest birth gap.  The finite bars A_1..A_n and B_1..B_m are matched by
-    a binary search over the candidates delta (the costs, the half-lengths
-    and base); delta is feasible when this bipartite graph has a perfect
-    matching:
+    largest birth gap.  The finite bars A_1..A_n and B_1..B_m are matched
+    at the least candidate delta (a cost, a half-length or base) at which
+    this bipartite graph has a perfect matching:
 
     * left vertices are the A_i and a diagonal copy of every B_j, right
       vertices the B_j and a diagonal copy of every A_i;
@@ -93,10 +94,17 @@ def _bottleneck_degree(bars_a: Sequence[Bar], bars_b: Sequence[Bar]):
     perfect matching of the pruned graph.
 
     Every birth and death is scaled once by 2*D, D the lcm of their
-    denominators, so that costs and half-lengths are ints.  Each left
-    vertex keeps its neighbours sorted by cost, and a probe at delta uses
-    the prefix of cost <= delta.  Edges only appear as delta grows, so a
-    probe starts from the matching of the last probe that failed, and it
+    denominators, so that costs and half-lengths are ints.  Every vertex
+    needs an edge, so ``floor``, base or a vertex's cheapest edge (a right
+    vertex has the edges of a left one), is a lower bound and a candidate,
+    and it is probed first.  A cost is at least the birth gap, so with the
+    bars sorted by birth a scan out from each birth finds the cheapest
+    edge, stopping at a gap of the best cost so far, and birth windows
+    give the graph at delta.  Failing at ``floor``, the candidates are
+    bisected up to the largest half-length or base, where deleting every
+    bar is a perfect matching.  A vertex's edges are sorted by cost and a
+    probe uses those of cost <= delta, so edges only appear as delta grows:
+    a probe starts from the matching of the last probe that failed, and it
     stops at the first free vertex that an unmarked search cannot augment.
     """
     inf_a = sorted(b.birth for b in bars_a if not b.is_finite)
@@ -105,60 +113,43 @@ def _bottleneck_degree(bars_a: Sequence[Bar], bars_b: Sequence[Bar]):
         return INF
     fin_a = [(b.birth, b.death) for b in bars_a if b.is_finite]
     fin_b = [(b.birth, b.death) for b in bars_b if b.is_finite]
-    dens = {x.denominator for x in inf_a + inf_b}
-    for birth, death in fin_a + fin_b:
-        dens.add(birth.denominator)
-        dens.add(death.denominator)
-    scale = 2 * lcm(*dens)
+    ends = inf_a + inf_b + [x for bar in fin_a + fin_b for x in bar]
+    scale = 2 * lcm(*{x.denominator for x in ends})
 
     def scaled(x: Fraction) -> int:
         return x.numerator * (scale // x.denominator)
 
     base = max((abs(scaled(x) - scaled(y)) for x, y in zip(inf_a, inf_b)), default=0)
-    pts_a = [(scaled(b), scaled(d)) for b, d in fin_a]
-    pts_b = [(scaled(b), scaled(d)) for b, d in fin_b]
+    pts_a = sorted((scaled(b), scaled(d)) for b, d in fin_a)
+    pts_b = sorted((scaled(b), scaled(d)) for b, d in fin_b)
     n, m = len(pts_a), len(pts_b)
-    costs = [[max(abs(ab - bb), abs(ad - bd)) for bb, bd in pts_b] for ab, ad in pts_a]
     del_a = [(d - b) // 2 for b, d in pts_a]
     del_b = [(d - b) // 2 for b, d in pts_b]
-
-    # Left vertex u < n is A_u, u >= n is diag(B_{u-n}); right vertex
-    # r < m is B_r, r >= m is diag(A_{r-m}).
-    keys: list[list[int]] = []
-    adj: list[list[int]] = []
-
-    def add_vertex(row: list, targets: list) -> None:
-        order = sorted(range(len(row)), key=row.__getitem__)
-        keys.append(list(map(row.__getitem__, order)))
-        adj.append(list(map(targets.__getitem__, order)))
-
-    to_b = list(range(m))
-    for i, row in enumerate(costs):
-        add_vertex(row + [del_a[i]], to_b + [m + i])
-    to_diag_a = list(range(m, m + n))
-    for j in range(m):
-        add_vertex([row[j] for row in costs] + [del_b[j]], to_diag_a + [j])
-
-    # Every vertex needs a neighbour, so delta is at least the cheapest
-    # edge of each (a right vertex has the costs of a left one).
-    floor = max([base] + [k[0] for k in keys])
-    cands = {base, *del_a, *del_b}
-    for row in costs:
-        cands.update(row)
-    feas = sorted(c for c in cands if c >= floor)
-
     size = n + m
-    warm_l, warm_r, warm_look = [-1] * size, [-1] * size, [0] * size
-    seen = [0] * size
-    stamp = 0
-    # The largest candidate admits every deletion edge, so it is feasible.
-    best = feas[-1]
-    lo, hi = 0, len(feas) - 2
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        delta = feas[mid]
-        lim = [bisect_right(k, delta) for k in keys]
-        match_l, match_r, look = warm_l[:], warm_r[:], warm_look[:]
+    births_b = [b for b, _ in pts_b]
+
+    def graph(delta: int):
+        """Left vertex u's neighbours r at delta sorted by cost, as ``keys[u]``
+        (cost*size + r) and ``adj[u]`` (r).  Left vertex u < n is A_u, else
+        diag(B_{u-n}); right vertex r < m is B_r, else diag(A_{r-m})."""
+        keys = [[c * size + m + i] if c <= delta else [] for i, c in enumerate(del_a)]
+        keys += [[c * size + j] if c <= delta else [] for j, c in enumerate(del_b)]
+        for i, (b, d) in enumerate(pts_a):
+            for j in range(bisect_left(births_b, b - delta), bisect_right(births_b, b + delta)):
+                c = max(abs(b - pts_b[j][0]), abs(d - pts_b[j][1]))
+                if c <= delta:
+                    keys[i].append(c * size + j)
+                    keys[n + j].append(c * size + m + i)
+        for row in keys:
+            row.sort()
+        return keys, [[x % size for x in row] for row in keys]
+
+    def grown(delta: int, keys: list, adj: list, state: list):
+        """The matching ``[match_l, match_r, look]`` grown from ``state`` at
+        delta, or None once it is perfect."""
+        match_l, match_r, look = (x[:] for x in state)
+        lim = [bisect_left(k, (delta + 1) * size) for k in keys]
+        seen, stamp = [0] * size, 0
         free = [u for u in range(size) if match_l[u] < 0]
         while free:
             # One stamp per pass: a search that fails on marks left by
@@ -166,16 +157,36 @@ def _bottleneck_degree(bars_a: Sequence[Bar], bars_b: Sequence[Bar]):
             # a pass sees no marks, so its failure is final.
             stamp += 1
             if not _augment(free[0], adj, lim, look, match_l, match_r, seen, stamp):
-                break
+                return [match_l, match_r, look]
             free = [u for u in free[1:]
                     if not _augment(u, adj, lim, look, match_l, match_r, seen, stamp)]
-        if free:
-            warm_l, warm_r, warm_look = match_l, match_r, look
-            lo = mid + 1
+        return None
+
+    floor = base
+    for pts, dels, other in ((pts_a, del_a, pts_b), (pts_b, del_b, pts_a)):
+        births = [b for b, _ in other]
+        for (b, d), best in zip(pts, dels):
+            k = bisect_left(births, b)
+            for js in (range(k, len(other)), range(k - 1, -1, -1)):
+                for j in js:
+                    if abs(other[j][0] - b) >= best:
+                        break
+                    best = min(best, max(abs(other[j][0] - b), abs(other[j][1] - d)))
+            floor = max(floor, best)
+    warm = grown(floor, *graph(floor), [[-1] * size, [-1] * size, [0] * size])
+    if warm is None:
+        return Fraction(floor, scale)
+    keys, adj = graph(max([base, *del_a, *del_b]))
+    feas = sorted({x // size for k in keys for x in k if x // size > floor})
+    lo, hi = 0, len(feas) - 1  # the largest candidate admits every deletion edge
+    while lo < hi:
+        mid = (lo + hi) // 2
+        trial = grown(feas[mid], keys, adj, warm)
+        if trial is None:
+            hi = mid
         else:
-            best = delta
-            hi = mid - 1
-    return Fraction(best, scale)
+            warm, lo = trial, mid + 1
+    return Fraction(feas[lo], scale)
 
 
 def bottleneck(b1: Barcode, b2: Barcode):

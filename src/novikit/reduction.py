@@ -105,6 +105,21 @@ class Barcode:
         return "\n".join(rows) + "\n"
 
 
+def _barcode(keys: list, scale: int) -> Barcode:
+    """The trusted constructor: ``keys`` are sorted int ``(degree, birth,
+    unbounded, death)`` over ``scale``, birth < death on finite bars; each
+    bar's Fractions are made once."""
+    bars = []
+    for degree, birth, unbounded, death in keys:
+        bars.append(object.__new__(Bar))
+        for name, value in (("birth", Fraction(birth, scale)), ("degree", degree),
+                            ("death", INF if unbounded else Fraction(death, scale))):
+            object.__setattr__(bars[-1], name, value)
+    code = object.__new__(Barcode)
+    object.__setattr__(code, "bars", tuple(bars))
+    return code
+
+
 def _scaled_slice(cx: FilteredComplex, t: Fraction):
     """Slice t scaled to ints: ``(scale, cutoff, levels, columns)``.
 
@@ -233,7 +248,19 @@ def persistence_barcode(cx: FilteredComplex, t, *, prevalidated: bool = False) -
     highest level first, through the same routine against the next
     degree's pivots and the survivors so far; each survivor is an
     unbounded bar born at its peak generator's action, since such births
-    are defined only up to the period value group.
+    are defined only up to the period value group.  The survivors' rows
+    are the peak rows of the cycles Z outside those of the boundaries B,
+    for any cycles that span Z with B: vectors with distinct peak rows are
+    independent, and each vector of their span peaks at one of those rows.
+
+    Clearing (Chen-Kerber's twist) skips a cycle z named i, never a pivot,
+    when i is the peak row of a pivot b_i of B.  The cycles are a basis of
+    Z (preimages change by invertible steps, pivot vectors are independent).
+    Row i enters another preimage only by subtracting z as a pivot, so z
+    alone has a row-i coordinate, 1.  On the skipped rows S the b_i keep
+    distinct peaks, so they span those coordinates; y in Z minus their
+    combination vanishes on S, so its skipped coefficients are 0.  Hence
+    B and the kept cycles span Z, and the survivors are unchanged.
     """
     t = Fraction(t)
     if not prevalidated:
@@ -253,17 +280,17 @@ def persistence_barcode(cx: FilteredComplex, t, *, prevalidated: bool = False) -
             left = _settle(columns[i], {(-levels[i], i, 0): field.one}, levels[i],
                            i, pivots[d], field, cutoff)
             if left is not None:
-                cycles[d].append(left)
+                cycles[d].append((*left, left[2] == i))  # named i: never a pivot
 
-    bars: list[Bar] = []
+    keys = []  # (degree, birth, unbounded, death), ints over scale
     for d in pivots:
-        for peak, _, _, level, _ in pivots[d].values():
-            bars.append(Bar(Fraction(-peak[0], scale), Fraction(level, scale),
-                            gens[peak[1]].degree))
-        table = dict(pivots.get(d + 1, {}))
-        for combo, _, name in sorted(cycles[d], key=lambda c: (-c[1], c[2])):
-            _settle(combo, None, None, name, table, field, cutoff)
-        for peak, _, combo, _, _ in table.values():
-            if combo is None:
-                bars.append(Bar(Fraction(levels[peak[1]], scale), INF, d))
-    return Barcode(bars)
+        keys += [(d - 1, -peak[0], 0, level) for peak, _, _, level, _ in pivots[d].values()]
+        cleared = pivots.get(d + 1, {})
+        table = dict(cleared)
+        for combo, _, name, fresh in sorted(cycles[d], key=lambda c: (-c[1], c[2])):
+            if not (fresh and name in cleared):
+                _settle(combo, None, None, name, table, field, cutoff)
+        keys += [(d, levels[peak[1]], 1, 0)
+                 for peak, _, combo, _, _ in table.values() if combo is None]
+    keys.sort()
+    return _barcode(keys, scale)

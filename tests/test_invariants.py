@@ -20,6 +20,7 @@ from novikit import (
     bottleneck,
     boundary_depth,
     ell,
+    persistence_barcode,
     rho,
     scan_semicontinuity,
     spectrum,
@@ -185,8 +186,10 @@ class TestBottleneck:
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(20161)
-        seen = {"inf": 0, "ties": 0, "unequal": 0, "empty_side": 0, "degrees": 0}
-        for _ in range(400):
+        seen = {"inf": 0, "ties": 0, "unequal": 0, "empty_side": 0, "degrees": 0,
+                "floor_decides": 0, "floor_fails": 0}
+        # 1,000 cases, so that at least 10 need more than the first probe.
+        for _ in range(1000):
             degrees = rng.choice([(0,), (0, 1), (0, 1, 2)])
             a = _random_barcode(rng, degrees)
             b = _random_barcode(rng, degrees)
@@ -204,7 +207,24 @@ class TestBottleneck:
             seen["unequal"] += len(a.bars) != len(b.bars)
             seen["empty_side"] += not a.bars or not b.bars
             seen["degrees"] += len({x.degree for x in a.bars + b.bars}) > 1
+            # The search probes its lower bound first; both outcomes occur.
+            for degree in {x.degree for x in a.bars + b.bars}:
+                da, db = Barcode(a.in_degree(degree)), Barcode(b.in_degree(degree))
+                exact = _brute_force_bottleneck(da, db)
+                seen["floor_decides" if _first_probe(da, db) == exact else "floor_fails"] += 1
         assert min(seen.values()) >= 10, seen
+
+    def test_line_family_at_nearby_t_is_decided_by_the_first_probe(self):
+        spec = ModelSpec(seed=5, n_pairs=5, n_closed=1, lattice_rank=0,
+                         samples=(0, F(1, 32), F(1, 16)))
+        base = gen_elementary(spec)
+        fam = line_family(base, [F(i % 5 - 2, 8) for i in range(len(base.generators))])
+        at_zero = persistence_barcode(fam, 0)
+        for t in fam.samples[1:]:
+            at_t = persistence_barcode(fam, t)
+            got = bottleneck(at_zero, at_t)
+            assert got == _brute_force_bottleneck(at_zero, at_t) == _first_probe(at_zero, at_t)
+            assert got > 0
 
     def test_thousand_bars_per_side(self):
         rng = random.Random(1000)
@@ -237,6 +257,23 @@ def _random_barcode(rng, degrees):
         else:
             bars.append(Bar(birth, birth + F(rng.randint(1, 4), 2), rng.choice(degrees)))
     return Barcode(bars)
+
+
+def _first_probe(a, b):
+    """The lower bound the search probes first, maximized over degrees: the
+    unbounded bars' birth gaps in order, and each finite bar's cheapest
+    edge, half its length or its cost to a finite bar of the other side."""
+    def cost(x, y):
+        return max(abs(x.birth - y.birth), abs(x.death - y.death))
+
+    best = F(0)
+    for degree in {x.degree for x in a.bars + b.bars}:
+        da, db = Barcode(a.in_degree(degree)), Barcode(b.in_degree(degree))
+        best = max([best, *(abs(x.birth - y.birth) for x, y in zip(da.infinite(), db.infinite()))])
+        for mine, other in ((da.finite(), db.finite()), (db.finite(), da.finite())):
+            best = max([best, *(min([x.length / 2, *(cost(x, y) for y in other)])
+                                for x in mine)])
+    return best
 
 
 def _brute_force_bottleneck(a, b):

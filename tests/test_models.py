@@ -143,6 +143,16 @@ class TestGenRandom:
         assert bars_key(got) == bars_key(elementary_bars(base, F(1, 2)))
         assert elapsed < 2.0, f"82-generator barcode took {elapsed:.2f} s"
 
+    def test_barcode_ceiling_162_generators(self):
+        spec = ModelSpec(seed=3, n_pairs=80, n_closed=2, cutoff=10, density=F(1, 4))
+        twisted = gen_random(spec)
+        assert len(twisted.generators) == 162
+        start = time.perf_counter()
+        got = persistence_barcode(twisted, F(1, 2), prevalidated=True)
+        elapsed = time.perf_counter() - start
+        assert bars_key(got) == bars_key(elementary_bars(gen_elementary(spec), F(1, 2)))
+        assert elapsed < 0.2, f"162-generator barcode took {elapsed:.2f} s"
+
     def test_rho_ceiling_82_generators(self):
         spec = ModelSpec(seed=3, n_pairs=40, n_closed=2, cutoff=10, density=F(1, 4))
         base = gen_elementary(spec)

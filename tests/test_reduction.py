@@ -28,7 +28,8 @@ from novikit import (
     unit,
 )
 from novikit import cancellation
-from novikit.fields import GF2
+from novikit.fields import GF2, QQ
+from novikit.periods import PeriodSystem
 from novikit.models import (
     ModelSpec,
     gen_elementary,
@@ -58,6 +59,12 @@ class TestFixedPoint:
         assert out.approximant == {}
         assert len(out.trace) == 1
         assert out.trace[0] == Rank2Value(0, 1)
+
+    def test_zero_vector_on_an_empty_image(self):
+        out = cancellation.fixed_point([], {}, cutoff=5)
+        assert out.is_fixed_point
+        assert out.trace == (VALUE_INF,)
+        assert out.approximant == {} and out.residual == {} and out.combo == {}
 
     def test_one_sided_divergence_trace(self, ring):
         cols = pathological_columns(cutoff=F(10))
@@ -388,6 +395,23 @@ class TestBarcode:
         cx = two_term_complex(axes, GF2, 1, 3, ring.one())
         got = persistence_barcode(cx, 0).to_csv()
         assert got == "degree,birth,death\n0,1/1,3/1\n"
+
+    def test_three_degrees_with_cleared_cycles(self):
+        # Degree 2 kills the degree-1 cycles y1 - y0 and u + z at their
+        # peak rows y1 and z, so clearing skips the cycles named y1 and z;
+        # u survives, as x0 does in degree 0.
+        ring = NovikovRing(PeriodSystem(0, (), ()), QQ, RingMode.INTERVAL, F(10))
+        one, minus = NovikovElement(ring, {(): 1}), NovikovElement(ring, {(): -1})
+        gens = [CappedGenerator(n, d, a, 0) for n, d, a in (
+            ("x0", 0, 0), ("x1", 0, F(1, 2)), ("y0", 1, 2), ("y1", 1, F(5, 2)),
+            ("u", 1, 1), ("z", 1, 3), ("w2", 2, F(7, 2)), ("w", 2, 4), ("c", 2, 5))]
+        matrix = {"y0": {"x0": one, "x1": one}, "y1": {"x0": one, "x1": one},
+                  "w2": {"y1": one, "y0": minus}, "w": {"u": one, "z": one}}
+        got = persistence_barcode(FilteredComplex(ring, gens, {F(0): matrix}), 0)
+        assert got.bars == (Bar(0, INF, 0), Bar(F(1, 2), 2, 0), Bar(1, INF, 1),
+                            Bar(F(5, 2), F(7, 2), 1), Bar(3, 4, 1), Bar(5, INF, 2))
+        assert all(type(x) is Fraction for b in got.bars for x in (b.birth, b.death)
+                   if x is not INF)
 
     def test_unvalidated_complex_rejected(self, axes, ring):
         cx = two_term_complex(axes, GF2, 3, 1, ring.one())  # filtration broken
