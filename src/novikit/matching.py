@@ -95,9 +95,9 @@ def _bottleneck_degree(bars_a: Sequence[Bar], bars_b: Sequence[Bar]):
 
     Every birth and death is scaled once by 2*D, D the lcm of their
     denominators, so that costs and half-lengths are ints.  Every vertex
-    needs an edge, so ``floor``, base or a vertex's cheapest edge (a right
-    vertex has the edges of a left one), is a lower bound and a candidate,
-    and it is probed first.  A cost is at least the birth gap, so with the
+    needs an edge, so ``floor``, the largest of base and each vertex's
+    cheapest edge (a right vertex has the edges of a left one), is a lower
+    bound and a candidate, and it is probed first.  A cost is at least the birth gap, so with the
     bars sorted by birth a scan out from each birth finds the cheapest
     edge, stopping at a gap of the best cost so far, and birth windows
     give the graph at delta.  Failing at ``floor``, the candidates are

@@ -107,8 +107,7 @@ class Barcode:
 
 def _barcode(keys: list, scale: int) -> Barcode:
     """The trusted constructor: ``keys`` are sorted int ``(degree, birth,
-    unbounded, death)`` over ``scale``, birth < death on finite bars; each
-    bar's Fractions are made once."""
+    unbounded, death)`` over ``scale``, birth < death on finite bars."""
     bars = []
     for degree, birth, unbounded, death in keys:
         bars.append(object.__new__(Bar))
@@ -250,17 +249,17 @@ def persistence_barcode(cx: FilteredComplex, t, *, prevalidated: bool = False) -
     unbounded bar born at its peak generator's action, since such births
     are defined only up to the period value group.  The survivors' rows
     are the peak rows of the cycles Z outside those of the boundaries B,
-    for any cycles that span Z with B: vectors with distinct peak rows are
-    independent, and each vector of their span peaks at one of those rows.
-
-    Clearing (Chen-Kerber's twist) skips a cycle z named i, never a pivot,
-    when i is the peak row of a pivot b_i of B.  The cycles are a basis of
-    Z (preimages change by invertible steps, pivot vectors are independent).
-    Row i enters another preimage only by subtracting z as a pivot, so z
-    alone has a row-i coordinate, 1.  On the skipped rows S the b_i keep
-    distinct peaks, so they span those coordinates; y in Z minus their
-    combination vanishes on S, so its skipped coefficients are 0.  Hence
-    B and the kept cycles span Z, and the survivors are unchanged.
+    for any cycles that span Z with B, since vectors with distinct peak
+    rows are independent and each vector of their span peaks at one of
+    them.  Clearing (Chen-Kerber's twist) skips a cycle z named i, never a
+    pivot, when i is the peak row of a pivot b_i of B.  Proof, over the
+    untruncated slice: the cycles are a basis of Z (preimages change by
+    invertible steps; pivot vectors are independent), and row i enters a
+    preimage other than z only by subtracting z as a pivot, so z alone has
+    a row-i coordinate, 1.  The b_i keep distinct peaks on the skipped
+    rows S, so they span those coordinates, and y in Z minus a combination
+    of them vanishes on S: its coefficients on skipped cycles are 0.  So B
+    and the kept cycles span Z, and the survivors are unchanged.
     """
     t = Fraction(t)
     if not prevalidated:
