@@ -97,10 +97,10 @@ def _bottleneck_degree(bars_a: Sequence[Bar], bars_b: Sequence[Bar]):
     denominators, so that costs and half-lengths are ints.  Every vertex
     needs an edge, so ``floor``, the largest of base and each vertex's
     cheapest edge (a right vertex has the edges of a left one), is a lower
-    bound and a candidate, and it is probed first.  A cost is at least the birth gap, so with the
-    bars sorted by birth a scan out from each birth finds the cheapest
-    edge, stopping at a gap of the best cost so far, and birth windows
-    give the graph at delta.  Failing at ``floor``, the candidates are
+    bound and a candidate, and it is probed first.  A cost is at least the
+    birth gap, so with the bars sorted by birth a scan out from each birth
+    finds the cheapest edge, stopping at a gap of the best cost so far,
+    and birth windows give the graph at delta.  Failing at ``floor``, the candidates are
     bisected up to the largest half-length or base, where deleting every
     bar is a perfect matching.  A vertex's edges are sorted by cost and a
     probe uses those of cost <= delta, so edges only appear as delta grows:
