@@ -1,38 +1,23 @@
 """Iterative cancellation, best approximation, and the divergence check.
 
-This is the rank-2 half of the package: it works over the variant Novikov
-ring that the source paper builds after Ono (GAFA 16, 2006), keeping both
-period values of every exponent.  The spectral value ``rho``, ``scan`` and
-``validate``'s divergence check run it; barcodes do not (see
-:mod:`novikit.reduction`).
-
-The central algorithm repeatedly cancels the order-minimal part of a
-vector against shifted spans of a matrix's columns.  Every cancellation
-strictly raises the rank-2 valuation; over a discrete value set the trace
-either stabilizes (a fixed point, yielding a best approximation from the
-image) or exits a cutoff window.  A trace whose two coordinates diverge
-at different speeds is exactly the pathology the divergence check hunts
-for: a legal family of boundary operators never produces one, while the
-one-sided operator ``1 - T^B`` with period pair (0, 1) always does.
-
-The cancellation rule is the canonical deterministic choice: at the
-current valuation level, solve the finite linear system over the
-coefficient field that cancels the whole leading part against the shifted
-columns, pivoting by lowest column index.  Completeness of the candidate
-shift set is guaranteed when the period map has trivial kernel on the
-lattice; see the package docs for the degenerate-kernel caveat.  One
-loop, :func:`_cancel`, runs every cancellation: the saturation of an
-image (:class:`_SaturatedImage`) and each vector cancelled against it.
+The rank-2 half of the package, over the variant Novikov ring that the
+source paper builds after Ono (GAFA 16, 2006): ``rho``, ``scan`` and
+``validate``'s divergence check run it, barcodes :mod:`novikit.reduction`.
+One loop, :func:`_cancel`, reduces a vector against pivots keyed by peak
+component, as the slice reduction keys its pivots by peak row.  A trace
+whose valuation coordinates diverge at different speeds is what the
+divergence check hunts for: legal boundary operators never produce one,
+and the one-sided ``1 - T^B`` with period pair (0, 1) always does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import floor, lcm
+from operator import add, sub
 from typing import Mapping, Sequence
 
-from .complexes import Chain, FilteredComplex, apply_matrix, chain_add, chain_cleanup, chain_sub
-from .periods import Exponent, exponent_sub
+from .complexes import Chain, FilteredComplex, apply_matrix, chain_cleanup, chain_sub
 from .series import (
     LexOrder,
     NovikovElement,
@@ -45,9 +30,6 @@ from .series import (
 )
 
 DEFAULT_STALL_WINDOW = 8
-# Cap on the sweeps of _SaturatedImage._saturate.  Its termination argument
-# waits on a complete candidate set in _phi_step (ROADMAP, Direction 14).
-SATURATION_PASSES = 256
 
 
 class FloerDivergenceError(RuntimeError):
@@ -72,8 +54,10 @@ class ReductionOutcome:
     coordinate stalls while the other exits the cutoff window; the stalled
     value is recorded) and ``diverges-both``.  ``approximant`` is the part
     of the input vector that was cancelled, i.e. the image element found;
-    ``residual`` is what remains.  ``trace`` lists the valuations of the
-    successive iterates, strictly increasing in the active order.
+    ``residual`` is what remains.  ``trace`` lists the valuation pair of
+    the peak each time it changes, strictly increasing in the active
+    order's key and then the first coordinate (which the key ignores at
+    t = 1 only).
     """
 
     __slots__ = ("kind", "approximant", "residual", "trace", "combo",
@@ -97,55 +81,61 @@ class ReductionOutcome:
 
 
 class TermGeometry:
-    """Valuation geometry of chain terms, as ints, with optional action offsets.
+    """Int keys of chain terms in one order, with optional action offsets.
 
-    A term is a (component, exponent) pair; its value pair is the
-    exponent's period pair minus the component's offset pair.  Offsets
-    turn the plain valuation into the filtration-aware one used by the
-    spectral minimization: minimizing the filtration level is maximizing
-    the offset valuation of the residual.  Value pairs are ints over
-    ``scale``, the lcm of the ring's scale and the offset denominators.
+    A term (component, exponent) has as value pair its exponent's period
+    pair minus its component's offset pair (minimizing the filtration
+    level is maximizing this valuation), in ints over ``scale``.  Its point
+    is ``(*order.key(pair), *pair, component)``; points, then exponents,
+    order terms totally, and T^D keeps that order: keys are linear.  A
+    vector maps each point to the polynomial ``{exponent: coefficient}``
+    there; its ``min`` is its peak.
     """
 
-    def __init__(self, ring: NovikovRing, offsets: Mapping[str, tuple] | None = None):
+    def __init__(self, ring: NovikovRing, order, offsets: Mapping[str, tuple] | None = None):
         offsets = dict(offsets or {})
         scale = lcm(ring.scale, *(Fraction(x).denominator for off in offsets.values() for x in off))
-        self.ring, self.scale = ring, scale
+        self.ring, self.order, self.scale = ring, order, scale
         self._lift = scale // ring.scale
-        self.offsets = {comp: (int(o0 * scale), int(o1 * scale))
-                        for comp, (o0, o1) in offsets.items()}
+        self._ints: dict = {}  # exponent -> the four ints of its point, no offset
+        self._offsets = {}
+        for comp, (o0, o1) in offsets.items():
+            pair = (int(o0 * scale), int(o1 * scale))
+            self._offsets[comp] = (*order.key(pair), *pair)
+        # The ring's truncation test on lifted period pairs: a term is kept
+        # when a coordinate its mode governs is at most the lifted cutoff.
+        self.window = (ring.mode is not RingMode.OMEGA1, ring.mode is not RingMode.OMEGA0,
+                       ring.icutoff * self._lift)
 
-    def pair(self, comp: str, exponent: Exponent) -> tuple[int, int]:
-        g0, g1 = self.ring.ipair(exponent)
-        k = self._lift
-        off = self.offsets.get(comp)
-        if off is None:
-            return (g0 * k, g1 * k)
-        return (g0 * k - off[0], g1 * k - off[1])
+    def points(self, chain: Chain):
+        """Each term of the chain as ``(point, exponent, coefficient)``."""
+        ints, key, ipair, k = self._ints, self.order.key, self.ring.ipair, self._lift
+        for comp, x in chain.items():
+            o0, o1, o2, o3 = self._offsets.get(comp, (0, 0, 0, 0))
+            for a, c in x.terms.items():
+                p = ints.get(a)
+                if p is None:
+                    pair = tuple(g * k for g in ipair(a))
+                    p = ints[a] = (*key(pair), *pair)
+                yield (p[0] - o0, p[1] - o1, p[2] - o2, p[3] - o3, comp), a, c
 
+    def vector(self, chain: Chain) -> dict:
+        vec: dict = {}
+        for point, a, c in self.points(chain):
+            vec.setdefault(point, {})[a] = c
+        return vec
 
-def chain_level(chain: Chain, geom: TermGeometry, order):
-    """Order-minimal value pair of a chain and the attaining terms.
+    def terms(self, chain: Chain) -> list:
+        """The terms as :func:`_sub_shifted` reads them: a point's four ints
+        and component, an exponent, its coefficient and its lifted pair."""
+        ints = self._ints
+        return [(*point, b, y, *ints[b][2:]) for point, b, y in self.points(chain)]
 
-    Returns ``(pair, [(component, exponent), ...])`` from one pass: the
-    geometry's int pair (the least the order ties), ``None`` exactly for
-    the zero chain, and the attaining terms, sorted.
-    """
-    pair, key = geom.pair, order.key
-    best_key = best = None
-    level = []
-    for comp, x in chain.items():
-        for a in x.terms:
-            p = pair(comp, a)
-            k = key(p)
-            if best_key is None or k < best_key:
-                best_key, best, level = k, p, [(comp, a)]
-            elif k == best_key:
-                level.append((comp, a))
-                if p < best:
-                    best = p
-    level.sort()
-    return best, level
+    def chain(self, vec: dict) -> dict[str, NovikovElement]:
+        terms: dict = {}
+        for point, poly in vec.items():
+            terms.setdefault(point[4], {}).update(poly)
+        return {comp: self.ring.element(t) for comp, t in terms.items()}
 
 
 def _value(pair, scale: int) -> Rank2Value:
@@ -160,261 +150,238 @@ def normalize_columns(columns: Sequence[Chain]) -> list[dict[str, NovikovElement
     for col in columns:
         col = chain_cleanup(col)
         if col:
-            geom = TermGeometry(next(iter(col.values())).ring)
-            _, level = chain_level(col, geom, LexOrder())
-            neg = tuple(-c for c in level[0][1])
+            geom = TermGeometry(next(iter(col.values())).ring, LexOrder())
+            neg = tuple(-c for c in min(geom.points(col))[1])
             col = chain_cleanup({k: v.shift(neg) for k, v in col.items()})
         out.append(col)
     return out
 
 
-def _solve_linear(field, rows: list[list], rhs: list):
-    """Solve A x = b over the field, free variables set to zero.
-
-    Pivots are chosen by lowest variable index.  Returns None when
-    inconsistent.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivot_of_var: dict[int, int] = {}
-    row_used = [False] * m
-    for var in range(n):
-        pin = None
-        for i in range(m):
-            if not row_used[i] and not field.is_zero(aug[i][var]):
-                pin = i
-                break
-        if pin is None:
-            continue
-        inv = field.inv(aug[pin][var])
-        aug[pin] = [field.mul(x, inv) for x in aug[pin]]
-        for i in range(m):
-            if i != pin and not field.is_zero(aug[i][var]):
-                f = aug[i][var]
-                aug[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(aug[i], aug[pin])]
-        row_used[pin] = True
-        pivot_of_var[var] = pin
-    for i in range(m):
-        if not row_used[i] and not field.is_zero(aug[i][n]):
+def _divide(f: dict, g: dict, field):
+    """The Laurent polynomial ``{exponent: coefficient}`` f / g, or None.
+    Long division by least terms: if q*g = f, each coordinate of q's
+    exponents lies between f's least (greatest) minus g's, the ring being a
+    domain, and quotient terms come out increasing, so finitely many fit."""
+    if len(g) == 1:
+        ((b, c),) = g.items()
+        return {tuple(map(sub, a, b)): field.div(x, c) for a, x in f.items()}
+    lo = tuple(map(sub, map(min, zip(*f)), map(min, zip(*g))))
+    hi = tuple(map(sub, map(max, zip(*f)), map(max, zip(*g))))
+    lead = min(g)
+    rem, q = dict(f), {}
+    while rem:
+        a = min(rem)
+        d = tuple(map(sub, a, lead))
+        if not all(l <= x <= h for l, x, h in zip(lo, d, hi)):
             return None
-    x = [field.zero] * n
-    for var, i in pivot_of_var.items():
-        x[var] = aug[i][n]
-    return x
+        c = q[d] = field.div(rem[a], g[lead])
+        for b, y in g.items():
+            e = tuple(map(add, b, d))
+            x = field.sub(rem.get(e, field.zero), field.mul(c, y))
+            if field.is_zero(x):
+                del rem[e]
+            else:
+                rem[e] = x
+    return q
 
 
-def _phi_step(v: Chain, level: list, columns: Sequence[Chain],
-              leads: Sequence[tuple], field):
-    """One canonical cancellation: returns (new_v, step) or None at a fixed point.
+def _sub_shifted(vec: dict, pivot: list, q: dict, shift: tuple, field, window) -> None:
+    """``vec -= q * pivot`` in place, the pivot given as its
+    :meth:`TermGeometry.terms` and ``shift`` the four ints by which q's
+    exponents all move its points; ``window`` tests truncation."""
+    s0, s1, s2, s3 = shift
+    m0, m1, top = window
+    zero, fsub, mul, is_zero = field.zero, field.sub, field.mul, field.is_zero
+    for d, c in q.items():
+        for k0, k1, g0, g1, comp, b, y, r0, r1 in pivot:
+            if not (m0 and r0 + s2 <= top or m1 and r1 + s3 <= top):
+                continue
+            e = tuple(map(add, b, d))
+            point = (k0 + s0, k1 + s1, g0 + s2, g1 + s3, comp)
+            poly = vec.get(point)
+            if poly is None:
+                vec[point] = {e: fsub(zero, mul(c, y))}
+                continue
+            x = fsub(poly.get(e, zero), mul(c, y))
+            if not is_zero(x):
+                poly[e] = x
+            elif len(poly) > 1:
+                del poly[e]
+            else:
+                del vec[point]
 
-    ``level`` is the attaining-term list of ``chain_level(v)`` and
-    ``leads[i]`` is ``chain_level(columns[i])``.  ``step`` maps a column
-    index i to the raw coefficient ``{D: c}`` of sum(c * T^D), and
-    ``new_v`` is v minus the sum over i of ``step[i] * columns[i]``.
+
+def _cancel(image: "_SaturatedImage", geom: TermGeometry, vec: dict):
+    """The cancellation loop: reduce ``vec``, a :meth:`TermGeometry.vector`
+    changed in place, against the image's pivots.
+
+    Returns ``(kind, vec, trace, steps, stall)``: ``trace`` holds int pairs
+    (``None`` for zero), ``steps`` maps a pivot's component to the
+    ``{exponent: coefficient}`` multiple of it subtracted, and ``stall`` is
+    the ``(axis, int)`` of a ``diverges-second``.  A step divides the
+    polynomial at the peak point by that of the pivot of its component at
+    the pivot's peak, which moves one point onto the other, and subtracts
+    the quotient times the pivot: the point is cleared and only greater
+    ones change.  The loop stops at a fixed point when the peak's
+    component holds no pivot or the division fails.  Each new peak pair is
+    recorded, then tested: past the int cutoff ``top`` in both coordinates
+    is ``diverges-both``, and a stall (:func:`_detect_stall`) ends it too.
+
+    Best approximation.  In a sum of shifted pivots, which peak at distinct
+    components, the least shifted peak term is below all other terms, so
+    every nonzero image element peaks at a held component.  If ``vec``
+    peaks at a free one, ``vec - u`` peaks no higher than ``vec`` for any
+    image element u.  This is the orthogonality of Usher-Zhang (Geom.
+    Topol. 20, 2016) and the column algorithm of Zomorodian-Carlsson (DCG
+    33, 2005) over rank-2 keys.  With a period map that has a kernel, a
+    point holds a coset of it and its division is exact or fails, in
+    finitely many steps (:func:`_divide`).  A failure can leave a boundary,
+    x = d(y2)/2 - (T^K - 1) d(y1)/2 with K in the kernel, uncancelled: a
+    known wrong answer (ideal membership over Laurent polynomials).
+
+    Termination, with no cap.  Points strictly increase and a pair holds
+    one per component, so recorded pairs strictly increase in
+    ``(*key, g0)``.  Keys are ``(W, g1)``, W = w0*g0 + w1*g1 with ints
+    w0, w1 >= 0 not both zero.  A bounded W is eventually constant; then,
+    with w0 > 0, g1 rises at every recorded pair and g0 never does, so the
+    window after g1 passes the cutoff stalls on axis 1, and at t = 1
+    (w0 = 0, g1 = W constant) g0 rises instead and stalls axis 0.  If W is
+    unbounded, from some pair on exactly one coordinate is above the
+    cutoff, and without a stall the other exceeds its value of one window
+    earlier while at most the cutoff, which ints do finitely often.
     """
-    level_set = set(level)
-    # Candidate shifted columns whose leading part can touch the level.
-    cands = sorted({(i, exponent_sub(a, b)) for i, (_, lead) in enumerate(leads)
-                    for (cu, b) in lead for (cv, a) in level if cu == cv})
-    if not cands:
-        return None
-    # Equation index: every level point touched by v or a shifted lead.
-    points = set(level)
-    contrib: dict[tuple[int, Exponent], dict] = {}
-    for (i, d) in cands:
-        cd: dict = {}
-        for (cu, b) in leads[i][1]:
-            pt = (cu, tuple(x + y for x, y in zip(b, d)))
-            cd[pt] = columns[i][cu].terms[b]
-            points.add(pt)
-        contrib[(i, d)] = cd
-    points = sorted(points)
-    rows = []
-    rhs = []
-    for pt in points:
-        rows.append([contrib[c].get(pt, field.zero) for c in cands])
-        comp, a = pt
-        if pt in level_set:
-            rhs.append(v[comp].terms[a])
-        else:
-            rhs.append(field.zero)
-    sol = _solve_linear(field, rows, rhs)
-    if sol is None:
-        return None
-    step: dict[int, dict] = {}
-    for (i, d), c in zip(cands, sol):
-        if not field.is_zero(c):
-            step.setdefault(i, {})[d] = c
-    if not step:
-        return None
-    return chain_sub(v, apply_matrix({i: columns[i] for i in step}, step.items())), step
-
-
-def _cancel(image: "_SaturatedImage", geom: TermGeometry, v: Chain, lead: tuple):
-    """The cancellation loop: iterate ``_phi_step`` on ``v`` against the image.
-
-    ``lead`` is ``chain_level(v)`` in ``geom``.  Stops at a fixed point,
-    when both coordinates exceed the cutoff, or at a stall.  Returns
-    ``(kind, v, lead, trace, combo, stall)``: the final vector and its
-    ``chain_level``, the trace of int pairs (``None`` for zero), the
-    cancelled combination (the steps applied to the columns' expressions)
-    and the ``(axis, int)`` of a ``diverges-second`` stall.  Only ints are
-    compared: an int exceeds cutoff * L exactly when it exceeds
-    floor(cutoff * L), L the geometry's scale.
-
-    Termination needs no cap.  Keys are ``(W, g1)``, W = w0*g0 + w1*g1
-    with ints w0, w1 >= 0 not both zero, and every step strictly raises
-    the key.  If W stays bounded, it is eventually constant: then g1 rises
-    at every step and g0 never does, so g1 passes the cutoff and the next
-    full window stalls on axis 1.  If W is unbounded, from some step on
-    exactly one coordinate is above the cutoff (both end the loop with
-    ``diverges-both``), and the stall rule of :func:`_detect_stall` forces
-    the other to rise strictly across every window while it stays at or
-    below the cutoff, which an int does only finitely often.  A rule that
-    replaces that stall rule must restate this argument.
-    """
-    key = image.order.key
-    top = floor(image.cutoff * geom.scale)
-    pair, level = lead
+    pivots, top = image.pivots, floor(image.cutoff * geom.scale)
     trace: list = []
-    combo: dict[str, NovikovElement] = {}
-    while True:
-        trace.append(pair)
-        if pair is None:
+    steps: dict = {}
+    while vec:
+        point = min(vec)
+        pair = point[2:4]
+        if not trace or pair != trace[-1]:
+            trace.append(pair)
+            if pair[0] > top and pair[1] > top:
+                return "diverges-both", vec, trace, steps, None
+            stall = _detect_stall(trace, top)
+            if stall is not None:
+                return "diverges-second", vec, trace, steps, stall
+        held = pivots.get(point[4])
+        q = held and _divide(vec[point], held[1], geom.ring.field)
+        if not q:
             break
-        if pair[0] > top and pair[1] > top:
-            return "diverges-both", v, (pair, level), trace, combo, None
-        stall = _detect_stall(trace, top)
-        if stall is not None:
-            return "diverges-second", v, (pair, level), trace, combo, stall
-        found = _phi_step(v, level, image.cols, image.leads, geom.ring.field)
-        if found is None:
-            break
-        new_v, step = found
-        new_pair, level = chain_level(new_v, geom, image.order)
-        if new_pair is not None and key(new_pair) <= key(pair):
-            raise RuntimeError("cancellation failed to raise the valuation")
-        combo = chain_add(combo, apply_matrix({i: image.exprs[i] for i in step}, step.items()))
-        v, pair = new_v, new_pair
-    return "fixed-point", v, (pair, level), trace, combo, None
-
-
-def _outcome(geom: TermGeometry, v: Chain, run: tuple) -> ReductionOutcome:
-    """The ``ReductionOutcome`` of a ``_cancel`` run on ``v``, in values."""
-    kind, rest, _, trace, combo, stall = run
-    scale = geom.scale
-    outcome = ReductionOutcome(kind, chain_sub(v, rest), rest,
-                               tuple(_value(p, scale) for p in trace), chain_cleanup(combo))
-    if stall is not None:
-        outcome.axis, outcome.stabilized = stall[0], Fraction(stall[1], scale)
-    return outcome
+        if held[4] is None:
+            held[4] = geom.terms(held[2])
+        _sub_shifted(vec, held[4], q, tuple(map(sub, point[:4], held[0][:4])),
+                     geom.ring.field, geom.window)
+        # Points increase, so a run's quotients of one pivot share no exponent.
+        steps.setdefault(point[4], {}).update(q)
+    else:
+        trace.append(None)
+    return "fixed-point", vec, trace, steps, None
 
 
 class _SaturatedImage:
     """The image of a column set, saturated once for one order and cutoff.
 
-    ``cols``, ``exprs`` and ``leads`` are kept in step: ``exprs[i]``
-    writes ``cols[i]`` in the original columns, and ``leads[i]`` is
-    ``chain_level(cols[i])``, computed once and recomputed only when that
-    column changes.  None of it depends on the vector being cancelled, so
-    one instance serves any number of :meth:`cancel` runs.  The ring is
-    read from the first column; without columns, each vector's ring gives
-    its valuations.
-    Columns must be normalized (valuation the zero pair) unless
-    ``offsets`` are given.
+    ``pivots`` maps a component to ``[point, polynomial, chain, expression,
+    terms]`` for the image vector that peaks there: its peak point and
+    polynomial, the vector, its expression in the original columns, and
+    its :meth:`TermGeometry.terms`, listed on first use.  The ring is read
+    from the first column; without columns, each vector's gives its
+    valuations.  Columns must be normalized unless ``offsets`` are given.
+
+    Saturation inserts each column once, shortest first, by one
+    :func:`_cancel` run; a stall raises :class:`FloerDivergenceError`.  A
+    remainder that peaks at a free component becomes its pivot.  At a held
+    one it replaces a pivot whose point polynomial it properly divides,
+    which is inserted again (each swap takes an irreducible factor off that
+    component), and is dropped otherwise: with a kernel the image can be
+    smaller than the span of the columns.  A remainder whose run left the
+    window in both coordinates at a held component is dropped too, as the
+    run stops there without dividing; the ring keeps no such term without
+    offsets, at its own cutoff, and no benchmark run reached it with them.
     """
 
     def __init__(self, columns, order, cutoff, offsets):
-        names, cols = _as_columns(columns)
-        cols = [chain_cleanup(c) for c in cols]
-        keep = [i for i, c in enumerate(cols) if c]
-        names = [names[i] for i in keep]
-        cols = [cols[i] for i in keep]
+        cols = [(n, col) for n, c in zip(*_as_columns(columns)) if (col := chain_cleanup(c))]
         if cutoff is None:
             raise ValueError("cutoff must be provided")
         cutoff = Fraction(cutoff)
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
-        self.order = order
-        self.cutoff = cutoff
-        self.offsets = offsets
-        self.geom = None
-        self.cols, self.exprs, self.leads = [], [], []
+        self.order, self.cutoff, self.offsets = order, cutoff, offsets
+        self.geom, self.pivots = None, {}
         if not cols:
             return
-        ring = next(iter(cols[0].values())).ring
-        geom = self.geom = TermGeometry(ring, offsets)
-        one = unit(ring)
-        self.leads = [chain_level(c, geom, order) for c in cols]
-        if offsets is None:
-            for pair, _ in self.leads:
-                if pair != (0, 0):
-                    raise NormalizationError(f"column valuation {_value(pair, geom.scale)} "
-                                             "is not the zero pair; normalize first")
-        self.cols = cols
-        self.exprs = [{n: one} for n in names]
-        self._saturate()
+        ring = next(iter(cols[0][1].values())).ring
+        geom = self.geom = TermGeometry(ring, order, offsets)
+        peaks = [min(geom.points(c))[0] for _, c in cols]
+        for peak in peaks if offsets is None else ():
+            if peak[2:4] != (0, 0):
+                raise NormalizationError(f"column valuation {_value(peak[2:4], geom.scale)} "
+                                         "is not the zero pair; normalize first")
+        one, sizes = unit(ring), [sum(len(x.terms) for x in c.values()) for _, c in cols]
+        for i in sorted(range(len(cols)), key=lambda i: (sizes[i], i)):
+            self._insert(cols[i][1], peaks[i], {cols[i][0]: one})
 
-    def _saturate(self) -> None:
-        """Echelonize the columns so their leading parts span every level.
-
-        Sweeps the columns in order and cancels each against the others
-        with :func:`_cancel`; the first column that changes becomes the
-        higher-valuation residual (or is dropped when it reduces to zero),
-        and the sweep restarts.  This is the non-Archimedean analogue of
-        making the leading coefficient vectors independent, and is what
-        makes the fixed point of the iteration a genuine best
-        approximation.  A column whose trace stalls raises
-        :class:`FloerDivergenceError`; one past the cutoff in both
-        coordinates keeps its last iterate.
-        """
-        cols, exprs, leads, geom = self.cols, self.exprs, self.leads, self.geom
-        for _ in range(SATURATION_PASSES):
-            for i in range(len(cols)):
-                # Take column i out, so that the image is the other columns.
-                col, expr, lead = cols.pop(i), exprs.pop(i), leads.pop(i)
-                run = _cancel(self, geom, col, lead)
-                kind, rest, rest_lead, trace, combo, _ = run
-                if kind == "diverges-second":
-                    raise FloerDivergenceError(_outcome(geom, col, run), col)
-                if len(trace) == 1:
-                    cols.insert(i, col)
-                    exprs.insert(i, expr)
-                    leads.insert(i, lead)
-                    continue
-                if rest:
-                    cols.insert(i, rest)
-                    exprs.insert(i, chain_sub(expr, combo))
-                    leads.insert(i, rest_lead)
-                break
-            else:
+    def _insert(self, col: Chain, peak: tuple, expr: Chain) -> None:
+        geom, pivots, comp = self.geom, self.pivots, peak[4]
+        if comp not in pivots:  # registered as it is, with no vector built
+            poly = {a: c for p, a, c in geom.points({comp: col[comp]}) if p == peak}
+            pivots[comp] = [peak, poly, col, expr, None]
+            return
+        vec = geom.vector(col)
+        while True:
+            run = _cancel(self, geom, vec)
+            kind, vec, _, steps, _ = run
+            if kind == "diverges-second":
+                raise FloerDivergenceError(self._outcome(geom, col, run), col)
+            if not vec:
                 return
-        raise RuntimeError("column saturation failed to stabilize")
+            point = min(vec)
+            held = pivots.get(point[4])
+            if held is not None and (kind == "diverges-both" or
+                                     _divide(held[1], vec[point], geom.ring.field) is None):
+                return
+            expr = chain_sub(expr, self._combo(steps))
+            pivots[point[4]] = [point, vec[point], geom.chain(vec), expr, None]
+            if held is None:
+                return
+            _, _, col, expr, _ = held
+            vec = geom.vector(col)
+
+    def _combo(self, steps: dict) -> dict[str, NovikovElement]:
+        """The expression of a run's steps in the original columns."""
+        return apply_matrix({comp: self.pivots[comp][3] for comp in steps}, steps.items())
+
+    def _outcome(self, geom: TermGeometry, v: Chain, run: tuple) -> ReductionOutcome:
+        """The ``ReductionOutcome`` of a :func:`_cancel` run on ``v``, in values."""
+        kind, vec, trace, steps, stall = run
+        rest, scale = geom.chain(vec), geom.scale
+        outcome = ReductionOutcome(kind, chain_sub(v, rest), rest,
+                                   tuple(_value(p, scale) for p in trace), self._combo(steps))
+        if stall is not None:
+            outcome.axis, outcome.stabilized = stall[0], Fraction(stall[1], scale)
+        return outcome
 
     def cancel(self, v: Chain) -> ReductionOutcome:
-        """Iterate the cancellation map on ``v`` against the saturated image."""
+        """Cancel ``v`` against the saturated image."""
         v = chain_cleanup(v)
         geom = self.geom
         if geom is None and not v:  # no ring to read, and nothing to cancel
             return ReductionOutcome("fixed-point", {}, {}, (VALUE_INF,), {})
         if geom is None:
-            geom = TermGeometry(next(iter(v.values())).ring, self.offsets)
-        return _outcome(geom, v, _cancel(self, geom, v, chain_level(v, geom, self.order)))
+            geom = TermGeometry(next(iter(v.values())).ring, self.order, self.offsets)
+        return self._outcome(geom, v, _cancel(self, geom, geom.vector(v)))
 
 
 def fixed_point(columns, v: Chain, order=None, cutoff=None, *,
                 offsets: Mapping[str, tuple] | None = None) -> ReductionOutcome:
-    """Iterate the canonical cancellation map until it fixes the vector.
+    """Cancel ``v`` against the span of ``columns``, saturated afresh.
 
-    ``columns`` spans the image being cancelled against; ``cutoff`` bounds
-    the valuation window used for divergence classification.  Without
-    ``offsets`` the columns must be normalized (:class:`NormalizationError`
-    otherwise); with them the valuation of each term is shifted per
-    component, which turns the iteration into a filtration-level
-    minimizer.  Each call saturates the image afresh;
-    :func:`floer_divergence_check` saturates once and cancels every probe
-    against that one image.
+    ``cutoff`` bounds the valuation window used for divergence
+    classification.  Without ``offsets`` the columns must be normalized
+    (:class:`NormalizationError` otherwise); with them the valuation of
+    each term is shifted per component, which turns the iteration into a
+    filtration-level minimizer.
     """
     return _SaturatedImage(columns, order or LexOrder(), cutoff, offsets).cancel(v)
 
@@ -426,7 +393,9 @@ def _detect_stall(trace: list, top: int):
     coordinate exceeds the int cutoff ``top`` while the other fails to
     grow over the whole trailing window (constant, or even decreasing).
     Balanced traces (both coordinates growing) are left to run into
-    truncation.
+    truncation.  :func:`_cancel` runs it on each newly recorded pair, and
+    its termination argument rests on it: a rule that replaces it must
+    restate that argument.
     """
     window = DEFAULT_STALL_WINDOW
     if len(trace) < window:
@@ -494,25 +463,23 @@ class DivergenceCheck:
 
 
 def _divergence_probes(columns):
-    """The normalized columns and the probe vectors of a divergence check:
-    each column, each of its single-term slices, and four random vectors
-    drawn from ``random.Random(0)``."""
+    """The normalized columns and an iterator over the probe vectors of a
+    divergence check: each column, each of its single-term slices, and
+    four random vectors drawn from ``random.Random(0)``.  Probes are built
+    as they are taken, since a check stops at its first witness."""
+    norm_cols = normalize_columns([c for c in map(chain_cleanup, _as_columns(columns)[1]) if c])
+    return norm_cols, _probe_vectors(norm_cols) if norm_cols else iter(())
+
+
+def _probe_vectors(norm_cols):
     import random as _random
 
-    _, raw = _as_columns(columns)
-    cols = [chain_cleanup(c) for c in raw]
-    cols = [c for c in cols if c]
-    if not cols:
-        return [], []
-    norm_cols = normalize_columns(cols)
-
-    probes: list[dict[str, NovikovElement]] = []
     for col in norm_cols:
-        probes.append(dict(col))
+        yield dict(col)
         for comp in sorted(col):
             coeff = col[comp]
             for a in sorted(coeff.terms):
-                probes.append({comp: coeff.ring.element({a: coeff.terms[a]})})
+                yield {comp: coeff.ring.element({a: coeff.terms[a]})}
     rng = _random.Random(0)
     ring = next(iter(norm_cols[0].values())).ring
     support = sorted({(comp, a) for col in norm_cols for comp in col
@@ -524,8 +491,7 @@ def _divergence_probes(columns):
         terms: dict[str, dict] = {}
         for comp, a in picks:
             terms.setdefault(comp, {})[a] = ring.field.sample_nonzero(rng)
-        probes.append({comp: ring.element(t) for comp, t in terms.items()})
-    return norm_cols, probes
+        yield {comp: ring.element(t) for comp, t in terms.items()}
 
 
 def floer_divergence_check(columns, cutoff) -> DivergenceCheck:

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 domain failure (validation, divergence, or a
 violated semicontinuity verdict), 2 input error (unreadable file, parse
 error, bad flags, or any other ``ValueError`` a command raises, such as
 a t with no boundary sample), 3 an internal limit was hit (the iteration
-caps of column saturation and scan refinement; the message names it).
+cap of scan refinement; the message names it).
 Rationals on the command line and in all output are "p/q" strings.
 Input files name their field as q or f<p>, p a prime below 2^31.
 ``rho`` prints the spectral value only; the spectrum itself is

@@ -139,9 +139,3 @@ def exponent_add(a: Exponent, b: Exponent) -> Exponent:
     if len(a) != len(b):
         raise DimensionMismatch("exponent lengths differ")
     return tuple(x + y for x, y in zip(a, b))
-
-
-def exponent_sub(a: Exponent, b: Exponent) -> Exponent:
-    if len(a) != len(b):
-        raise DimensionMismatch("exponent lengths differ")
-    return tuple(x - y for x, y in zip(a, b))

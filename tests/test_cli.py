@@ -329,11 +329,9 @@ class TestInternalLimits:
     traceback; a divergence failure stays exit 1."""
 
     @pytest.mark.parametrize("module, cap, argv, message", [
-        ("cancellation", "SATURATION_PASSES", ["validate"],
-         "column saturation failed to stabilize"),
         ("semicontinuity", "REFINEMENT_ROUNDS", ["scan", "--cycle", "z0"],
          "spectral curve failed to stabilize"),
-    ], ids=["saturation", "refinement"])
+    ], ids=["refinement"])
     def test_cap_is_exit_3(self, monkeypatch, capsys, model_file, module, cap,
                            argv, message):
         monkeypatch.setattr(importlib.import_module(f"novikit.{module}"), cap, 0)
@@ -357,7 +355,9 @@ class TestInternalLimits:
 
     def test_saturation_stall_is_a_divergence(self, capsys, tmp_path):
         # d(w) = x(1 + T^(1,0)) beside the one-sided d(y) = x(1 - T^B):
-        # column w stalls on axis 1 while it saturates against y.
+        # column y, reduced against the pivot w, leaves terms T^(k,0) and
+        # T^(k,1) whose peak marches in the first coordinate, and it stalls
+        # on axis 0 while the image saturates.
         text = emit(gen_pathological())
         text = text.replace("y 1 2/1 0/1\n", "y 1 2/1 0/1\nw 1 2/1 0/1\n")
         text = text.replace("x y : 1 0,0 ; 1 0,1\n",
@@ -368,8 +368,8 @@ class TestInternalLimits:
         code = main(["validate", str(path)])
         out, err = capsys.readouterr()
         assert (code, err) == (1, "")
-        trace = " ".join(f"(0/1,{j}/1)" for j in range(12))
-        assert out == f"FAIL divergence at s=0/1: axis 1 stalls at 0/1; trace {trace}\n"
+        trace = " ".join([*(f"({j}/1,{b}/1)" for j in range(11) for b in (0, 1)), "(11/1,0/1)"])
+        assert out == f"FAIL divergence at s=0/1: axis 0 stalls at 0/1; trace {trace}\n"
         for argv in (["rho", str(path), "--cycle", "x", "--t", "1/2"],
                      ["scan", str(path), "--cycle", "x"]):
             code = main(argv)
@@ -566,27 +566,76 @@ class TestPerCommandWork:
         assert failed == {2011: (0, 8), 6006: (0, 6), 6011: (0, 7),
                           8011: (0, 4), 12011: (1, 6)}
 
-    def test_rho_candidate_defect_still_wrong(self, capsys, tmp_path):
-        # x = d(y1) - d(y2) bounds, so rho of x is -inf, as it is for u.
-        # ``_phi_step`` takes a column only when its lead shares a
-        # component with v's level, so it never takes y2's column, which
-        # cancels the u term that y1's column brings in: rho prints 0/1.
-        # A known wrong answer (ROADMAP, Direction 14), pinned as it is.
-        section = "x y1 : 1 0,0\nu y1 : 1 0,0\nu y2 : 1 0,0\n"
-        path = tmp_path / "two-columns.nvk"
+    @staticmethod
+    def _hand_file(tmp_path, name, omegas, generators, section):
+        """A q-coefficient rank-2 complex with samples 0/1 and 1/1 that
+        share one boundary section."""
+        path = tmp_path / name
         path.write_text(
             "# novikit complex v1\n\n[options]\nfield = q\ncutoff = 10/1\n"
-            "mode = interval\n\n[period-system]\nrank = 2\nomega0 = 1/1 0/1\n"
-            "omega1 = 0/1 1/1\n\n[generators]\nx 0 0/1 0/1\nu 0 0/1 0/1\n"
-            "y1 1 1/1 0/1\ny2 1 1/1 0/1\n\n"
+            f"mode = interval\n\n[period-system]\nrank = 2\n{omegas}\n\n"
+            f"[generators]\n{generators}\n\n"
             f"[boundary s=0/1]\n{section}\n[boundary s=1/1]\n{section}")
-        for cycle, t, want in (("x", "0/1", "0/1\n"), ("x", "1/1", "0/1\n"),
-                               ("u", "0/1", "-inf\n")):
-            code = main(["rho", str(path), "--cycle", cycle, "--t", t])
-            assert (code, capsys.readouterr()) == (0, (want, ""))
-        code = main(["barcode", str(path), "--t", "0/1"])
+        return str(path)
+
+    def test_rho_of_a_two_column_boundary_is_minus_inf(self, capsys, tmp_path):
+        # x = d(y1) - d(y2) bounds, as u = d(y2) does.  The columns of y1
+        # and y2 leave pivots at u and x, and x reduces to zero against
+        # them (ROADMAP, Direction 14, fixed).
+        path = self._hand_file(
+            tmp_path, "two-columns.nvk", "omega0 = 1/1 0/1\nomega1 = 0/1 1/1",
+            "x 0 0/1 0/1\nu 0 0/1 0/1\ny1 1 1/1 0/1\ny2 1 1/1 0/1",
+            "x y1 : 1 0,0\nu y1 : 1 0,0\nu y2 : 1 0,0\n")
+        for cycle, t in (("x", "0/1"), ("x", "1/1"), ("u", "0/1")):
+            code = main(["rho", path, "--cycle", cycle, "--t", t])
+            assert (code, capsys.readouterr()) == (0, ("-inf\n", ""))
+        code = main(["barcode", path, "--t", "0/1"])
         assert (code, capsys.readouterr()) == (
             0, ("degree,birth,death\n0,0/1,1/1\n0,0/1,1/1\n", ""))
+
+    KERNEL = ("omega0 = 1/1 1/1\nomega1 = 1/1 1/1", "x 0 0/1 0/1\ny1 1 1/1 0/1",
+              "x y1 : 1 0,0 ; 1 1,-1\n")
+
+    def test_period_kernel_terminates(self, tmp_path):
+        # (1,-1) spans the kernel of the period map, so d(y1) = x(1 +
+        # T^(1,-1)) has two terms at one point.  Dividing a point exactly
+        # keeps the peak from marching along the kernel, so each call
+        # returns.  x is no boundary: 1 + T^(1,-1) has period pair (0, 0)
+        # and no inverse, so rho of x is 0/1.
+        omegas, gens, section = self.KERNEL
+        path = self._hand_file(tmp_path, "kernel.nvk", omegas, gens, section)
+        assert run_cli(["validate", path]) == (0, "OK 2 samples validated\n", "")
+        for t in ("0/1", "1/1"):
+            assert run_cli(["rho", path, "--cycle", "x", "--t", t]) == (0, "0/1\n", "")
+
+    def test_period_kernel_two_columns_still_wrong(self, capsys, tmp_path):
+        # Over q, x = d(y2)/2 - (T^(1,-1) - 1) d(y1)/2 bounds, so rho of x
+        # is -inf.  y2's point polynomial 1 + T^(2,-2) neither divides nor
+        # is divided by y1's 1 + T^(1,-1), so y2's column is dropped and
+        # rho prints 0/1.  A known wrong answer (ROADMAP, Known wrong
+        # answers), pinned as it is: deciding it is ideal membership over
+        # Laurent polynomials.
+        omegas, gens, section = self.KERNEL
+        path = self._hand_file(tmp_path, "kernel-two.nvk", omegas,
+                               gens + "\ny2 1 1/1 0/1", section + "x y2 : 1 0,0 ; 1 2,-2\n")
+        for t in ("0/1", "1/1"):
+            code = main(["rho", path, "--cycle", "x", "--t", t])
+            assert (code, capsys.readouterr()) == (0, ("0/1\n", ""))
+
+    def test_rho_at_t_1_marches_in_the_first_coordinate(self, capsys, tmp_path):
+        # d(y) = x(1 + T^(1,0)): at t = 1 the key ignores g0, and x's
+        # remainder ±T^(k,0) marches in g0 at g1 = 0 until it stalls on
+        # axis 0, as it does at t = 0.  validate fails this file.
+        path = self._hand_file(tmp_path, "t-one.nvk", "omega0 = 1/1 0/1\nomega1 = 0/1 1/1",
+                               "x 0 0/1 0/1\ny 1 1/1 0/1", "x y : 1 0,0 ; 1 1,0\n")
+        for t in ("0/1", "1/1"):
+            code = main(["rho", path, "--cycle", "x", "--t", t])
+            assert (code, capsys.readouterr()) == (
+                1, ("", "error: valuation trace diverges (diverges-second); "
+                        "no best approximation\n"))
+        code = main(["validate", path])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "") and out.startswith("FAIL divergence at s=0/1: ")
 
 
 TRACER_BINDING = """

@@ -43,7 +43,6 @@ from novikit.cancellation import (
     NormalizationError,
     TermGeometry,
     _divergence_probes,
-    chain_level,
 )
 from novikit.complexes import chain_cleanup, chain_is_zero, chain_sub
 
@@ -105,7 +104,7 @@ class TestFixedPoint:
     def test_u_zero_or_valuation_matches(self, ring):
         rng = random.Random(21)
         col = {"e": ring.one() - ring.mono((1, 1))}
-        geom = TermGeometry(ring.base)
+        geom = TermGeometry(ring.base, LexOrder())
         for _ in range(40):
             terms = {(rng.randint(0, 2), rng.randint(0, 2)): 1
                      for _ in range(rng.randint(1, 3))}
@@ -115,20 +114,21 @@ class TestFixedPoint:
             out = fixed_point([col], v, LexOrder(), 10)
             if not out.is_fixed_point or chain_is_zero(out.approximant):
                 continue
-            vu, _ = chain_level(out.approximant, geom, LexOrder())
-            vv, _ = chain_level(v, geom, LexOrder())
-            assert vu == vv
+            assert min(geom.vector(out.approximant))[2:4] == min(geom.vector(v))[2:4]
 
-    def test_chain_level_is_an_int_pair(self, ring):
-        # at t = 1 the key ignores g0: (2, 1) and (0, 1) tie, and the pair
-        # is the lexicographically least of them
-        geom = TermGeometry(ring.base)
+    def test_peak_point_is_an_int_point(self, ring):
+        # at t = 1 the key ignores g0: (2, 1) and (0, 1) tie, and the peak
+        # is the point of the lesser g0; each point holds its exponents
+        geom = TermGeometry(ring.base, TWeightedOrder(1))
         k = geom.scale
         x = {"f": ring.mono((2, 1)), "e": ring.mono((0, 1)) + ring.mono((0, 2))}
-        pair, level = chain_level(x, geom, TWeightedOrder(1))
-        assert pair == (0, k) and all(type(g) is int for g in pair)
-        assert level == [("e", (0, 1)), ("f", (2, 1))]
-        assert chain_level({}, geom, LexOrder()) == (None, [])
+        vec = geom.vector(x)
+        assert sorted(vec) == [(k, k, 0, k, "e"), (k, k, 2 * k, k, "f"),
+                               (2 * k, 2 * k, 0, 2 * k, "e")]
+        assert all(type(g) is int for g in min(vec)[:4])
+        assert vec[min(vec)] == {(0, 1): 1}
+        assert geom.chain(vec) == x
+        assert geom.vector({}) == {}
 
     def test_rejects_nonnormalized_columns(self, ring):
         col = {"e": ring.mono((1, 1)) - ring.mono((2, 2))}
@@ -199,17 +199,19 @@ class TestDivergenceCheck:
         assert floer_divergence_check([col], 10)
 
     def test_saturation_stall_is_a_witness(self):
-        # w = 1 + T^(1,0) stalls on axis 1 while it saturates against the
-        # one-sided y = 1 - T^B: a divergence with w as the probe
+        # the one-sided y = 1 - T^B, reduced against the pivot w = 1 +
+        # T^(1,0), stalls on axis 0 while the image saturates: a divergence
+        # with y as the probe
         (y,) = pathological_columns(F(10))
         ring = y["e"].ring
         w = {"e": unit(ring) + monomial(ring, (1, 0))}
         columns = {"w": w, "y": y}
         check = floer_divergence_check(columns, 10)
         assert not check
-        assert check.witness.probe == w
-        assert (check.witness.axis, check.witness.stabilized) == (1, 0)
-        assert [v.as_tuple() for v in check.witness.trace] == [(0, j) for j in range(12)]
+        assert check.witness.probe == y
+        assert (check.witness.axis, check.witness.stabilized) == (0, 0)
+        assert [v.as_tuple() for v in check.witness.trace] == \
+            [(j, b) for j in range(11) for b in (0, 1)] + [(11, 0)]
         with pytest.raises(FloerDivergenceError) as err:
             best_approximation(columns, {"e": unit(ring)}, LexOrder(), 10)
         assert err.value.outcome.kind == "diverges-second"
@@ -246,6 +248,19 @@ def _per_probe_check(columns, cutoff):
 
 
 class TestSaturatedOncePerCheck:
+    @staticmethod
+    def _count_images(monkeypatch):
+        """The argument tuples of every ``_SaturatedImage`` built."""
+        calls = []
+
+        class Counting(cancellation._SaturatedImage):
+            def __init__(self, *args):
+                calls.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(cancellation, "_SaturatedImage", Counting)
+        return calls
+
     @pytest.mark.parametrize("operator, passed", [
         (lambda: (pathological_columns(F(10)), F(10)), False),
         (lambda: _random_operator(1, 3), True),
@@ -257,14 +272,7 @@ class TestSaturatedOncePerCheck:
     ], ids=["pathological", "random-1", "random-4-q", "line", "random-3-defect"])
     def test_matches_per_probe_fixed_point(self, monkeypatch, operator, passed):
         columns, cutoff = operator()
-        calls = []
-        saturate = cancellation._SaturatedImage._saturate
-
-        def counting(image):
-            calls.append(image)
-            return saturate(image)
-
-        monkeypatch.setattr(cancellation._SaturatedImage, "_saturate", counting)
+        calls = self._count_images(monkeypatch)
         check = floer_divergence_check(columns, cutoff)
         assert len(calls) == 1
         monkeypatch.undo()
@@ -272,9 +280,7 @@ class TestSaturatedOncePerCheck:
         assert check.passed is passed
 
     def test_empty_operator_never_saturates(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cancellation._SaturatedImage, "_saturate",
-                            lambda image: calls.append(image))
+        calls = self._count_images(monkeypatch)
         assert floer_divergence_check([], 10)
         assert calls == []
 
@@ -307,6 +313,7 @@ def _added_random_probes(norm_cols):
 def test_random_probes_equal_added_reference(operator):
     columns, _ = operator()
     norm_cols, probes = _divergence_probes(columns)
+    probes = list(probes)
     want = _added_random_probes(norm_cols)
     assert probes[-4:] == want
 
