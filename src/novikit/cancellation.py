@@ -12,9 +12,10 @@ and the one-sided ``1 - T^B`` with period pair (0, 1) always does.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import floor, lcm
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Mapping, Sequence
 
 from .complexes import Chain, FilteredComplex, apply_matrix, chain_cleanup, chain_sub
@@ -102,10 +103,7 @@ class TermGeometry:
         for comp, (o0, o1) in offsets.items():
             pair = (int(o0 * scale), int(o1 * scale))
             self._offsets[comp] = (*order.key(pair), *pair)
-        # The ring's truncation test on lifted period pairs: a term is kept
-        # when a coordinate its mode governs is at most the lifted cutoff.
-        self.window = (ring.mode is not RingMode.OMEGA1, ring.mode is not RingMode.OMEGA0,
-                       ring.icutoff * self._lift)
+        self.window = tuple(b * self._lift for b in ring.bounds)  # the ring's, lifted
 
     def points(self, chain: Chain):
         """Each term of the chain as ``(point, exponent, coefficient)``."""
@@ -125,11 +123,14 @@ class TermGeometry:
             vec.setdefault(point, {})[a] = c
         return vec
 
-    def terms(self, chain: Chain) -> list:
-        """The terms as :func:`_sub_shifted` reads them: a point's four ints
-        and component, an exponent, its coefficient and its lifted pair."""
+    def terms(self, chain: Chain) -> tuple:
+        """The terms as :func:`_sub_shifted` bisects them: a point's four ints
+        and component, an exponent, its coefficient and its lifted pair,
+        sorted by each pair coordinate, each order beside its coordinates."""
         ints = self._ints
-        return [(*point, b, y, *ints[b][2:]) for point, b, y in self.points(chain)]
+        terms = [(*point, b, y, *ints[b][2:]) for point, b, y in self.points(chain)]
+        by0, by1 = sorted(terms, key=itemgetter(7)), sorted(terms, key=itemgetter(8))
+        return by0, [t[7] for t in by0], by1, [t[8] for t in by1]
 
     def chain(self, vec: dict) -> dict[str, NovikovElement]:
         terms: dict = {}
@@ -185,17 +186,19 @@ def _divide(f: dict, g: dict, field):
     return q
 
 
-def _sub_shifted(vec: dict, pivot: list, q: dict, shift: tuple, field, window) -> None:
+def _sub_shifted(vec: dict, pivot: tuple, q: dict, shift: tuple, field, window) -> None:
     """``vec -= q * pivot`` in place, the pivot given as its
     :meth:`TermGeometry.terms` and ``shift`` the four ints by which q's
-    exponents all move its points; ``window`` tests truncation."""
+    exponents all move its points.  Only the terms that ``window``, the
+    ring's lifted bounds, keeps after the shift are read."""
     s0, s1, s2, s3 = shift
-    m0, m1, top = window
+    by0, keys0, by1, keys1 = pivot
+    b0, b1 = window[0] - s2, window[1] - s3
+    kept = by0[:bisect_right(keys0, b0)]
+    kept += [t for t in by1[:bisect_right(keys1, b1)] if t[7] > b0]
     zero, fsub, mul, is_zero = field.zero, field.sub, field.mul, field.is_zero
     for d, c in q.items():
-        for k0, k1, g0, g1, comp, b, y, r0, r1 in pivot:
-            if not (m0 and r0 + s2 <= top or m1 and r1 + s3 <= top):
-                continue
+        for k0, k1, g0, g1, comp, b, y, _, _ in kept:
             e = tuple(map(add, b, d))
             point = (k0 + s0, k1 + s1, g0 + s2, g1 + s3, comp)
             poly = vec.get(point)
@@ -242,25 +245,30 @@ def _cancel(image: "_SaturatedImage", geom: TermGeometry, vec: dict):
     Termination, with no cap.  Points strictly increase and a pair holds
     one per component, so recorded pairs strictly increase in
     ``(*key, g0)``.  Keys are ``(W, g1)``, W = w0*g0 + w1*g1 with ints
-    w0, w1 >= 0 not both zero.  A bounded W is eventually constant; then,
-    with w0 > 0, g1 rises at every recorded pair and g0 never does, so the
-    window after g1 passes the cutoff stalls on axis 1, and at t = 1
-    (w0 = 0, g1 = W constant) g0 rises instead and stalls axis 0.  If W is
-    unbounded, from some pair on exactly one coordinate is above the
-    cutoff, and without a stall the other exceeds its value of one window
-    earlier while at most the cutoff, which ints do finitely often.
+    w0, w1 >= 0 not both zero; W, the pair's level, never decreases, and a
+    pair past ``top`` on one axis is within it on the other, or the run
+    has stopped.  In an endless run whose level is eventually constant,
+    g1 rises at every pair and g0 never does when w0 > 0, so eight pairs
+    past the cutoff on axis 1 stall; at t = 1 (w0 = 0, g1 = W) g0 rises
+    and stalls axis 0.  With unbounded levels, once W > (w0 + w1) * top
+    every pair is past the cutoff on one axis, so endlessly many levels
+    hold such a pair on one axis; the other coordinate of each level's
+    first one is at most the cutoff and, without a stall, exceeds its
+    value eight levels earlier, which ints bounded above do finitely often.
     """
     pivots, top = image.pivots, floor(image.cutoff * geom.scale)
     trace: list = []
+    levels: list = []
     steps: dict = {}
     while vec:
         point = min(vec)
         pair = point[2:4]
         if not trace or pair != trace[-1]:
             trace.append(pair)
+            levels.append(point[0])
             if pair[0] > top and pair[1] > top:
                 return "diverges-both", vec, trace, steps, None
-            stall = _detect_stall(trace, top)
+            stall = _detect_stall(trace, levels, top)
             if stall is not None:
                 return "diverges-second", vec, trace, steps, stall
         held = pivots.get(point[4])
@@ -386,25 +394,26 @@ def fixed_point(columns, v: Chain, order=None, cutoff=None, *,
     return _SaturatedImage(columns, order or LexOrder(), cutoff, offsets).cancel(v)
 
 
-def _detect_stall(trace: list, top: int):
-    """One-sided divergence over the trailing ``DEFAULT_STALL_WINDOW`` pairs.
-
-    Classifies a trace whose coordinates move at incompatible speeds: one
-    coordinate exceeds the int cutoff ``top`` while the other fails to
-    grow over the whole trailing window (constant, or even decreasing).
-    Balanced traces (both coordinates growing) are left to run into
-    truncation.  :func:`_cancel` runs it on each newly recorded pair, and
-    its termination argument rests on it: a rule that replaces it must
-    restate that argument.
+def _detect_stall(trace: list, levels: list, top: int):
+    """``(axis, int)`` when the last pair of ``trace`` is past the int
+    cutoff ``top`` on ``axis`` and the other coordinate has not grown over
+    ``DEFAULT_STALL_WINDOW`` pairs past it, else None.  The window is the
+    pairs past it at the current level (``levels`` holds each pair's first
+    key int), or the first such pair of each level: in the lexicographic
+    order g1 restarts low at each g0 level, so a window reaching back
+    across the exit or across levels reads a balanced climb as a stall.
+    :func:`_cancel`'s termination argument rests on this rule.
     """
-    window = DEFAULT_STALL_WINDOW
-    if len(trace) < window:
-        return None
-    (f0, f1), (l0, l1) = trace[-window], trace[-1]
-    if l1 > top and l0 <= f0:
-        return (1, l0)
-    if l0 > top and l1 <= f1:
-        return (0, l1)
+    window, last = DEFAULT_STALL_WINDOW, trace[-1]
+    for axis in (1, 0):
+        if last[axis] <= top:
+            continue
+        past = [(k, p[1 - axis]) for k, p in zip(levels, trace) if p[axis] > top]
+        here = [g for k, g in past if k == levels[-1]]
+        firsts = [g for i, (k, g) in enumerate(past) if not i or k != past[i - 1][0]]
+        for run in (here, firsts):
+            if len(run) >= window and last[1 - axis] <= run[-window]:
+                return axis, last[1 - axis]
     return None
 
 
@@ -463,23 +472,21 @@ class DivergenceCheck:
 
 
 def _divergence_probes(columns):
-    """The normalized columns and an iterator over the probe vectors of a
-    divergence check: each column, each of its single-term slices, and
-    four random vectors drawn from ``random.Random(0)``.  Probes are built
-    as they are taken, since a check stops at its first witness."""
-    norm_cols = normalize_columns([c for c in map(chain_cleanup, _as_columns(columns)[1]) if c])
-    return norm_cols, _probe_vectors(norm_cols) if norm_cols else iter(())
-
-
-def _probe_vectors(norm_cols):
+    """The normalized columns and the probe vectors of a divergence check:
+    each column, each of its single-term slices, and four random vectors
+    drawn from ``random.Random(0)``."""
     import random as _random
 
+    norm_cols = normalize_columns([c for c in map(chain_cleanup, _as_columns(columns)[1]) if c])
+    if not norm_cols:
+        return [], []
+    probes: list[dict[str, NovikovElement]] = []
     for col in norm_cols:
-        yield dict(col)
+        probes.append(dict(col))
         for comp in sorted(col):
             coeff = col[comp]
             for a in sorted(coeff.terms):
-                yield {comp: coeff.ring.element({a: coeff.terms[a]})}
+                probes.append({comp: coeff.ring.element({a: coeff.terms[a]})})
     rng = _random.Random(0)
     ring = next(iter(norm_cols[0].values())).ring
     support = sorted({(comp, a) for col in norm_cols for comp in col
@@ -491,7 +498,8 @@ def _probe_vectors(norm_cols):
         terms: dict[str, dict] = {}
         for comp, a in picks:
             terms.setdefault(comp, {})[a] = ring.field.sample_nonzero(rng)
-        yield {comp: ring.element(t) for comp, t in terms.items()}
+        probes.append({comp: ring.element(t) for comp, t in terms.items()})
+    return norm_cols, probes
 
 
 def floer_divergence_check(columns, cutoff) -> DivergenceCheck:
@@ -500,9 +508,8 @@ def floer_divergence_check(columns, cutoff) -> DivergenceCheck:
     Runs the cancellation iteration from every column, from every
     single-term slice of a column, and from a few seeded random vectors
     supported on the columns' components, in the lexicographic order.  A
-    trace whose valuation stalls
-    in one coordinate while the other exits the cutoff window is returned
-    as a witness; operators arising as boundary operators of legal
+    trace whose valuation stalls in one coordinate while the other exits
+    the cutoff window is returned as a witness; operators arising as boundary operators of legal
     filtered complexes must pass.  The normalized columns are saturated
     once per check, and every probe is cancelled against that one image.
     """
@@ -511,10 +518,11 @@ def floer_divergence_check(columns, cutoff) -> DivergenceCheck:
         return DivergenceCheck(True)
     try:  # a column that stalls while the image saturates is a witness too
         image = _SaturatedImage(norm_cols, LexOrder(), cutoff, None)
+        geom = image.geom
         for probe in filter(None, probes):
-            outcome = image.cancel(probe)
-            if outcome.kind == "diverges-second":
-                raise FloerDivergenceError(outcome, probe)
+            run = _cancel(image, geom, geom.vector(probe))
+            if run[0] == "diverges-second":  # only a witness needs its outcome
+                raise FloerDivergenceError(image._outcome(geom, probe, run), probe)
     except FloerDivergenceError as err:
         out = err.outcome
         return DivergenceCheck(False, DivergenceWitness(err.probe, out.trace, out.axis,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Mapping
 
 from .periods import Exponent, PeriodSystem, exponent_add
@@ -149,19 +149,25 @@ class NovikovRing:
     (``ipair``, cached in the ring) are ints over L.  Multiplying by L > 0
     keeps order and ties, so orders, truncation and sorts compare these
     ints; ``Fraction``s are built only where values leave the package.
+    ``bounds`` is the mode's truncation rule on those ints: T^a survives
+    when ``g0 <= bounds[0]`` or ``g1 <= bounds[1]``, a coordinate the mode
+    ignores having bound ``-inf``.
     A complex builds one ring and all its elements share it; rings built
     apart compare equal by value.
     """
 
     __slots__ = ("system", "field", "mode", "cutoff", "scale", "icutoff",
-                 "_w0", "_w1", "_pairs")
+                 "bounds", "_w0", "_w1", "_pairs")
 
     def __init__(self, system: PeriodSystem, field, mode: RingMode, cutoff):
         cutoff = Fraction(cutoff)
         scale = lcm(cutoff.denominator, *(w.denominator for w in system.omega0 + system.omega1))
+        top = int(cutoff * scale)
+        bounds = (-inf if mode is RingMode.OMEGA1 else top,
+                  -inf if mode is RingMode.OMEGA0 else top)
         for name, value in (("system", system), ("field", field), ("mode", mode),
                             ("cutoff", cutoff), ("scale", scale),
-                            ("icutoff", int(cutoff * scale)),
+                            ("icutoff", top), ("bounds", bounds),
                             ("_w0", tuple(int(w * scale) for w in system.omega0)),
                             ("_w1", tuple(int(w * scale) for w in system.omega1)),
                             ("_pairs", {})):  # _pairs: exponent -> ipair
@@ -181,12 +187,8 @@ class NovikovRing:
     def keeps(self, a: Exponent) -> bool:
         """The mode's truncation test: whether T^a survives the cutoff."""
         g0, g1 = self.ipair(a)
-        mode, top = self.mode, self.icutoff
-        if mode is RingMode.OMEGA0:
-            return g0 <= top
-        if mode is RingMode.OMEGA1:
-            return g1 <= top
-        return g0 <= top or g1 <= top
+        b0, b1 = self.bounds
+        return g0 <= b0 or g1 <= b1
 
     def element(self, terms: dict) -> "NovikovElement":
         """The trusted constructor: ``terms`` is already clean (exponent

@@ -4,9 +4,8 @@
 files they write, and for every command in ``COMMANDS`` and every
 malformed file in ``MALFORMED``, what ``novikit`` printed and returned.
 The test replays all of it in-process through ``cli.main`` and compares
-byte for byte.  The recorded outputs include the known wrong answer
-(``bench/NOTES.md``, seed defect (a)): a change that fixes it updates the
-entries it fixes and says which, as the fix of seed defect (b) did.
+byte for byte.  A change that fixes a wrong answer updates the entries it fixes and
+says which, as the fixes of seed defects (a) and (b) did.
 
 Rewrite the corpus from the current code with
 
@@ -29,8 +28,9 @@ DIR = "{dir}"  # stands for the directory of the files in recorded argv and outp
 # name -> gen argv.  Random models of 2-8 pairs in f2 and q at densities 1/2
 # and 1/4, a tilted line family, the pathological model, and the two bases of
 # the malformed files (the same calls as the fixtures of tests/test_cli.py).
-# Seed defect (a), a false FAIL divergence, shows in r5-f2-2, r8-q-2 and
-# r8-q-4.  Seed defect (b), barcodes that differed from the prescribed ones,
+# Seed defect (a), a false FAIL divergence, showed in r5-f2-2, r8-q-2 and
+# r8-q-4; all three validate since the stall window counts only pairs past
+# the cutoff.  Seed defect (b), barcodes that differed from the prescribed ones,
 # is fixed: the 12 barcodes it got wrong (r4-f2-2, r6-q-2 and r8-q-4 at
 # every t, r5-f2-2 at t = 1/4, r8-f2-4 at t = 1/4 and 3/4) now equal
 # models.elementary_bars of the unconjugated model.

@@ -12,8 +12,9 @@ record that changed:
 A change that changes an output rewrites the records it changes, and says
 which, as for the golden corpus.  These tests replay the stability records
 of seed 1, and the validate records of seeds 1, 2 and 6, in-process.
-Seeds 2 and 6 hold four of the six false ``FAIL divergence`` lines of
-seed defect (a).
+Seeds 2 and 6 hold four of the six jobs that seed defect (a) once failed
+(now ``OK``), and every seed a ``FAIL divergence`` of the pathological
+model.
 """
 
 import io
